@@ -15,9 +15,8 @@ seconds) at the repo root, so the perf trajectory is tracked commit to
 commit.  Disable with ``--no-json``.
 
 ``perf`` is a separate mode: instead of the paper's virtual-time
-figures it measures *host* events/second per scenario on every
-available context-switch backend and writes ``BENCH_wall.json``
-(schema ``repro-bench-wall/1``).  See :mod:`repro.bench.perf` and
+figures it measures *host* events/second per scenario and writes
+``BENCH_wall.json`` (schema ``repro-bench-wall/1``).  See :mod:`repro.bench.perf` and
 ``docs/performance.md``.
 """
 

@@ -1,4 +1,4 @@
-"""Wall-clock perf harness: events/second per scenario per backend.
+"""Wall-clock perf harness: events/second per scenario.
 
 Everything else in ``repro.bench`` measures *virtual* time — what the
 simulated machine would do.  This module measures the *host*: how fast
@@ -6,17 +6,14 @@ the engine itself turns over scheduling events, which is what bounds the
 paper-figure sweeps, the ``repro.check`` explorer, and the test suite.
 
 ``python -m repro.bench perf`` runs every perf scenario (the six
-``repro.check`` scenarios plus the UTS/SCF/TCE application presets) on
-every context-switch backend available in this environment and writes
-``BENCH_wall.json`` (schema ``repro-bench-wall/1``) at the repo root,
-so engine throughput is tracked commit to commit alongside the
+``repro.check`` scenarios plus the UTS/SCF/TCE application presets) and
+writes ``BENCH_wall.json`` (schema ``repro-bench-wall/1``) at the repo
+root, so engine throughput is tracked commit to commit alongside the
 virtual-time record ``BENCH_sim.json``.
 
 Scenario runs go through :func:`repro.obs.scenarios.run_target` with
 recording off, so the measured work is exactly what ``repro.obs
-verify`` fingerprints — and since all backends produce bit-for-bit
-identical results (``tests/test_sim_backends.py``), the per-backend
-series differ *only* in switch mechanism.
+verify`` fingerprints.
 
 The committed record also carries a ``baselines`` section — reference
 measurements (e.g. the pre-redesign engine at its seed commit) that
@@ -39,7 +36,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs.scenarios import run_target
-from repro.sim.backends import available_backends
 from repro.util.io import atomic_write_text
 
 __all__ = [
@@ -73,8 +69,8 @@ PERF_SCENARIOS = (
     "tce",
 )
 
-#: ``--quick`` subset: enough to validate the schema and every backend
-#: without paying for the big presets (CI runs this).
+#: ``--quick`` subset: enough to validate the schema without paying for
+#: the big presets (CI runs this).
 QUICK_SCENARIOS = ("queue", "steals", "uts-tiny")
 
 #: Microbenchmarks selectable with ``--micro``.
@@ -82,15 +78,15 @@ MICRO_BENCHMARKS = ("switch",)
 
 
 def measure_scenario(
-    name: str, backend: str, reps: int = 3, nprocs: int = 4, seed: int = 0,
+    name: str, reps: int = 3, nprocs: int = 4, seed: int = 0,
     profile: bool = False, profile_interval: float = 0.001,
 ) -> dict[str, Any]:
-    """Measure one scenario on one backend; return a record entry.
+    """Measure one scenario; return a record entry.
 
     Runs ``reps`` times and reports the best wall time (least
     interference from the host) alongside the mean.  Events/second uses
     the best run.  The run itself is virtual-time deterministic, so
-    ``events`` is identical across reps and backends by construction.
+    ``events`` is identical across reps by construction.
 
     With ``profile=True`` an *extra*, untimed run executes under the
     sampling self-profiler (:mod:`repro.bench.selfprof`) and its
@@ -110,13 +106,12 @@ def measure_scenario(
             events = run.events
         elif events != run.events:
             raise RuntimeError(
-                f"{name}/{backend}: event count changed across reps "
+                f"{name}: event count changed across reps "
                 f"({events} vs {run.events}); engine is nondeterministic"
             )
     best = min(walls)
     entry = {
         "scenario": name,
-        "backend": backend,
         "nprocs": nprocs,
         "seed": seed,
         "reps": reps,
@@ -136,19 +131,15 @@ def measure_scenario(
     return entry
 
 
-def measure_micro_switch(
-    backend: str, switches: int = 20000, reps: int = 3
-) -> dict[str, Any]:
-    """Measure the raw cost of one context switch on ``backend``.
+def measure_micro_switch(switches: int = 20000, reps: int = 3) -> dict[str, Any]:
+    """Measure the raw cost of one trampoline event.
 
     Two simulated processes ping-pong: each loop iteration advances the
     local clock by one microsecond and syncs, which always finds the
     peer globally earliest — so sync elision never fires and *every*
-    event is a genuine handoff through the backend's switch mechanism.
-    The reported ``ns_per_switch`` therefore prices one end-to-end
-    scheduling event: heap push + pop, bookkeeping, and the context
-    switch itself — a generator ``send`` on ``coro``, a kernel wakeup
-    (or two semaphore round trips) on the thread backends.
+    event is a genuine switch.  The reported ``ns_per_switch`` therefore
+    prices one end-to-end scheduling event: heap push + pop,
+    bookkeeping, and the generator ``send`` that resumes the process.
     """
     from repro.sim.engine import Engine
 
@@ -159,7 +150,7 @@ def measure_micro_switch(
     walls = []
     events = None
     for _ in range(reps):
-        engine = Engine(2, backend=backend)
+        engine = Engine(2)
         engine.spawn_all(micro_main)
         # Sanctioned wall-clock site (see measure_scenario).
         t0 = time.perf_counter()  # repro: lint-disable=RPR002
@@ -169,13 +160,12 @@ def measure_micro_switch(
             events = engine.events
         elif events != engine.events:
             raise RuntimeError(
-                f"micro-switch/{backend}: event count changed across reps "
+                f"micro-switch: event count changed across reps "
                 f"({events} vs {engine.events}); engine is nondeterministic"
             )
     best = min(walls)
     return {
         "scenario": "micro-switch",
-        "backend": backend,
         "nprocs": 2,
         "seed": 0,
         "reps": reps,
@@ -188,29 +178,21 @@ def measure_micro_switch(
 
 
 def run_micro(
-    backends: tuple[str, ...] | list[str] | None = None,
-    switches: int = 20000,
-    reps: int = 3,
-    verbose: bool = True,
+    switches: int = 20000, reps: int = 3, verbose: bool = True
 ) -> list[dict[str, Any]]:
-    """Measure the switch microbenchmark on every backend."""
-    backends = tuple(backends) if backends is not None else available_backends()
-    entries = []
-    for backend in backends:
-        entry = measure_micro_switch(backend, switches=switches, reps=reps)
-        entries.append(entry)
-        if verbose:
-            print(
-                f"  micro-switch [{backend:<10}] {entry['events']:>8} events  "
-                f"best {entry['best_wall_s'] * 1e3:8.1f} ms  "
-                f"{entry['ns_per_switch']:>8,.0f} ns/switch"
-            )
-    return entries
+    """Measure the switch microbenchmark."""
+    entry = measure_micro_switch(switches=switches, reps=reps)
+    if verbose:
+        print(
+            f"  micro-switch {entry['events']:>8} events  "
+            f"best {entry['best_wall_s'] * 1e3:8.1f} ms  "
+            f"{entry['ns_per_switch']:>8,.0f} ns/switch"
+        )
+    return [entry]
 
 
 def run_perf(
     scenarios: tuple[str, ...] | list[str] = PERF_SCENARIOS,
-    backends: tuple[str, ...] | list[str] | None = None,
     reps: int = 3,
     nprocs: int = 4,
     seed: int = 0,
@@ -218,36 +200,24 @@ def run_perf(
     profile: bool = False,
     profile_interval: float = 0.001,
 ) -> list[dict[str, Any]]:
-    """Measure ``scenarios`` x ``backends`` and return record entries."""
-    import os
-
-    backends = tuple(backends) if backends is not None else available_backends()
+    """Measure ``scenarios`` and return record entries."""
     entries = []
-    saved = os.environ.get("REPRO_SIM_BACKEND")
-    try:
-        for backend in backends:
-            os.environ["REPRO_SIM_BACKEND"] = backend
-            for name in scenarios:
-                entry = measure_scenario(
-                    name, backend, reps=reps, nprocs=nprocs, seed=seed,
-                    profile=profile, profile_interval=profile_interval,
-                )
-                entries.append(entry)
-                if verbose:
-                    print(
-                        f"  {name:<12} [{backend:<10}] {entry['events']:>8} events  "
-                        f"best {entry['best_wall_s'] * 1e3:8.1f} ms  "
-                        f"{entry['events_per_sec']:>10,.0f} ev/s"
-                    )
-                    if "profile" in entry:
-                        from repro.bench.selfprof import render_attribution
+    for name in scenarios:
+        entry = measure_scenario(
+            name, reps=reps, nprocs=nprocs, seed=seed,
+            profile=profile, profile_interval=profile_interval,
+        )
+        entries.append(entry)
+        if verbose:
+            print(
+                f"  {name:<12} {entry['events']:>8} events  "
+                f"best {entry['best_wall_s'] * 1e3:8.1f} ms  "
+                f"{entry['events_per_sec']:>10,.0f} ev/s"
+            )
+            if "profile" in entry:
+                from repro.bench.selfprof import render_attribution
 
-                        print(render_attribution(entry["profile"], indent="      "))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SIM_BACKEND", None)
-        else:
-            os.environ["REPRO_SIM_BACKEND"] = saved
+                print(render_attribution(entry["profile"], indent="      "))
     return entries
 
 
@@ -274,8 +244,8 @@ def write_wall_json(
     is passed explicitly) — they are reference points measured once,
     not part of the sweep.  A ``notes`` section is preserved the same
     way; per-entry self-profiler tables (``--profile``) are lifted out
-    of the entries into ``notes.profile`` keyed ``scenario/backend``,
-    so the entry schema stays purely measurements.
+    of the entries into ``notes.profile`` keyed by scenario, so the
+    entry schema stays purely measurements.
     """
     path = Path(path)
     existing: dict[str, Any] = {}
@@ -293,7 +263,7 @@ def write_wall_json(
     for e in entries:
         if "profile" in e:
             e = dict(e)
-            profiles[f"{e['scenario']}/{e['backend']}"] = e.pop("profile")
+            profiles[e["scenario"]] = e.pop("profile")
         cleaned.append(e)
     entries = cleaned
     if profiles:
@@ -317,9 +287,9 @@ def validate_wall_json(doc: dict) -> None:
     """Raise ``ValueError`` unless ``doc`` is a valid wall-clock record.
 
     Checked: the schema tag, and for every entry (and baseline) a
-    scenario name, a backend name, a positive event count, and a
-    positive throughput — zero throughput means the measurement is
-    broken, so it fails validation rather than being recorded.
+    scenario name, a positive event count, and a positive throughput —
+    zero throughput means the measurement is broken, so it fails
+    validation rather than being recorded.
     """
     if doc.get("schema") != WALL_SCHEMA:
         raise ValueError(f"bad schema tag {doc.get('schema')!r}; want {WALL_SCHEMA!r}")
@@ -327,9 +297,9 @@ def validate_wall_json(doc: dict) -> None:
     if not isinstance(entries, list) or not entries:
         raise ValueError("entries must be a non-empty list")
     for e in entries + list(doc.get("baselines") or []):
-        where = f"{e.get('scenario')!r}/{e.get('backend')!r}"
-        if not e.get("scenario") or not e.get("backend"):
-            raise ValueError(f"entry missing scenario/backend: {e!r}")
+        where = repr(e.get("scenario"))
+        if not e.get("scenario"):
+            raise ValueError(f"entry missing scenario: {e!r}")
         if not isinstance(e.get("events"), int) or e["events"] <= 0:
             raise ValueError(f"{where}: bad events {e.get('events')!r}")
         eps = e.get("events_per_sec")
@@ -343,7 +313,7 @@ def validate_wall_json(doc: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench perf",
-        description="measure engine events/second per scenario per backend",
+        description="measure engine events/second per scenario",
     )
     parser.add_argument("--quick", action="store_true",
                         help=f"small scenario subset {QUICK_SCENARIOS} with 1 rep "
@@ -358,8 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--switches", type=int, default=20000,
                         help="ping-pong iterations per rank for the switch "
                              "microbenchmark (default: %(default)s)")
-    parser.add_argument("--backends", nargs="*",
-                        help="backends to measure (default: all available)")
     parser.add_argument("--profile", action="store_true",
                         help="also run each scenario once under the sampling "
                              "self-profiler and persist the subsystem "
@@ -383,14 +351,12 @@ def main(argv: list[str] | None = None) -> int:
         QUICK_SCENARIOS if args.quick else PERF_SCENARIOS
     )
     reps = args.reps if args.reps is not None else (1 if args.quick else 3)
-    backends = tuple(args.backends) if args.backends else available_backends()
-    print(f"# engine wall-clock perf — backends: {', '.join(backends)}\n")
+    print("# engine wall-clock perf\n")
     if args.micro is not None:
         # --micro alone measures just the microbenchmarks.
-        entries = run_micro(backends=backends, switches=args.switches,
-                            reps=reps)
+        entries = run_micro(switches=args.switches, reps=reps)
     else:
-        entries = run_perf(scenarios, backends=backends, reps=reps,
+        entries = run_perf(scenarios, reps=reps,
                            nprocs=args.nprocs, seed=args.seed,
                            profile=args.profile,
                            profile_interval=args.profile_interval)
@@ -398,8 +364,7 @@ def main(argv: list[str] | None = None) -> int:
             # The full sweep carries the switch microbenchmark too, so
             # the regenerated record always prices the raw primitive
             # alongside end-to-end scenario throughput.
-            entries += run_micro(backends=backends, switches=args.switches,
-                                 reps=reps)
+            entries += run_micro(switches=args.switches, reps=reps)
     if not args.no_json:
         out = write_wall_json(entries, args.json)
         print(f"\nwall-clock record -> {out}")

@@ -1,28 +1,32 @@
 """Sampling self-profiler: host wall-time attribution by runtime subsystem.
 
-PR 9 left the 10x wall-clock target blocked on an attribution gap: per
-event cost is dominated by "runtime work", with no breakdown of which
-runtime.  This module answers that with a stdlib-only sampling profiler:
-a daemon thread snapshots the main thread's Python stack
-(``sys._current_frames()``) at a fixed host-time interval and buckets
-each sample into a named subsystem — the map that directs the next round
-of hot-path work.
+Per-event host cost is dominated by "runtime work"; this module breaks
+it down with a stdlib-only sampling profiler: a daemon thread snapshots
+the main thread's Python stack (``sys._current_frames()``) at a fixed
+host-time interval and buckets each sample into a named subsystem — the
+map that directs the next round of hot-path work.
 
 Bucketing walks the sampled stack innermost-out: a stack inside
 ``heapq`` is the event heap; otherwise the innermost ``repro`` frame
-decides (backend switch machinery, engine core, cost model, task queue,
-steal protocol, termination waves, observability hooks, application
-body, ARMCI layer), so time spent in stdlib helpers is charged to the
+decides (engine core and trampoline, cost model, task queue, steal
+protocol, termination waves, observability hooks, application body,
+ARMCI layer), so time spent in stdlib helpers is charged to the
 runtime layer that called them.  Samples with no ``repro`` frame at all
 (interpreter housekeeping, thread startup) fall into ``other`` —
 attribution of everything else to a *named* subsystem is the acceptance
 bar, and fractions always sum to 1 over the recorded samples.
 
-The sampler works because every simulated rank runs on the host main
-thread under the default ``coro`` backend (and under ``thread`` backends
-exactly one rank runs at a time); it observes wall time, so it lives in
-``repro.bench`` next to the other sanctioned wall-clock sites and is
-never active during virtual-time measurement.
+The sampler works because every generator main runs on the host main
+thread, inside the engine's trampoline; it observes wall time, so it
+lives in ``repro.bench`` next to the other sanctioned wall-clock sites
+and is never active during virtual-time measurement.
+
+The sampling thread only runs when the interpreter hands it the GIL,
+which a busy main thread does every ``sys.getswitchinterval()``
+(5 ms by default) — far coarser than a millisecond sampling interval.
+While sampling, :meth:`SubsystemProfiler.start` therefore lowers the
+switch interval to half the sampling interval (never raising it), and
+:meth:`SubsystemProfiler.stop` restores it.
 
 Use ``python -m repro.bench perf --profile`` to run it per scenario and
 persist the tables into ``BENCH_wall.json`` under ``notes.profile``.
@@ -41,7 +45,6 @@ __all__ = ["SUBSYSTEMS", "SubsystemProfiler", "attribute_stack", "render_attribu
 #: innermost repro frame wins; ``repro/`` last as the catch-all so every
 #: runtime frame lands in a named bucket.
 SUBSYSTEMS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("switch", ("repro/sim/backends",)),
     ("engine", ("repro/sim/engine",)),
     ("cost-model", ("repro/sim/machines", "repro/sim/resources")),
     ("queue", ("repro/core/queue", "repro/core/collection")),
@@ -97,6 +100,7 @@ class SubsystemProfiler:
         self._target_ident = threading.get_ident()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        self._saved_switch: float | None = None
 
     def _sample_loop(self) -> None:
         # Host-time pacing for a host-time profiler (wall-clock sampling
@@ -112,6 +116,10 @@ class SubsystemProfiler:
         """Begin sampling the *calling* thread from a daemon thread."""
         self._target_ident = threading.get_ident()
         self._stop.clear()
+        current = sys.getswitchinterval()
+        if self.interval / 2 < current:
+            self._saved_switch = current
+            sys.setswitchinterval(self.interval / 2)
         self._thread = threading.Thread(
             target=self._sample_loop, name="repro-selfprof", daemon=True
         )
@@ -124,6 +132,9 @@ class SubsystemProfiler:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
+        if self._saved_switch is not None:
+            sys.setswitchinterval(self._saved_switch)
+            self._saved_switch = None
         return self.table()
 
     def table(self) -> dict[str, Any]:

@@ -40,10 +40,8 @@ Subcommands:
   unchanged (edges are metadata-only), and run through the streaming
   spill sink and require *its* span/instant stream to match the
   in-memory recorder's bit-for-bit.  A fourth pass enables the live
-  telemetry bus and requires both the fingerprint to stay unchanged
-  and the emitted feed to be byte-identical across backends.  Any
-  dropped record fails the check.  Repeats per available
-  context-switch backend.  Exits 1 on any divergence.
+  telemetry bus and requires the fingerprint to stay unchanged.  Any
+  dropped record fails the check.  Exits 1 on any divergence.
 
 Examples::
 
@@ -66,13 +64,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 from repro.check.scenarios import SCENARIOS as CHECK_SCENARIOS
-from repro.sim.backends import BACKENDS, ENV_BACKEND, available_backends
 from repro.obs.analyze import (
     critical_idle,
     load_chrome_trace,
@@ -345,142 +341,83 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_backends(args: argparse.Namespace) -> list[str]:
-    """Backends the verify loop should cover.
-
-    An explicit ``--backend`` pins the loop to that one; otherwise every
-    *available* production backend is exercised (greenlet is skipped
-    gracefully where the package is not installed — all backends are
-    bit-for-bit identical by construction, and CI runs the full set).
-    """
-    if args.backend is not None and args.backend != "auto":
-        return [args.backend]
-    avail = available_backends()
-    return [b for b in ("coro", "thread", "greenlet") if b in avail]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     targets = args.targets or sorted(CHECK_SCENARIOS)
-    backends = _verify_backends(args)
     bad = 0
-    checks = 0
-    # target -> (first backend, its live feed bytes): every other
-    # backend must reproduce the feed byte-for-byte.
-    feeds: dict[str, tuple[str, bytes]] = {}
-    saved = os.environ.get(ENV_BACKEND)
-    try:
-        for backend in backends:
-            os.environ[ENV_BACKEND] = backend
-            for name in targets:
-                checks += 1
-                base = fingerprint(
-                    run_target(name, nprocs=args.nprocs, seed=args.seed,
-                               record=False)
-                )
-                on = run_target(name, nprocs=args.nprocs, seed=args.seed,
-                                record=True)
-                rec = fingerprint(on)
-                if base != rec:
-                    bad += 1
-                    print(f"{name}[{backend}]: DIVERGED with recording on")
-                    for key in sorted(set(base) | set(rec)):
-                        if base.get(key) != rec.get(key):
-                            print(f"  {key}: off={base.get(key)!r}")
-                            print(f"  {key}:  on={rec.get(key)!r}")
-                    continue
-                # Causal edges must be metadata-only: recording with them
-                # disabled must reproduce the identical span stream.
-                off = run_target(name, nprocs=args.nprocs, seed=args.seed,
-                                 record=True, edges=False)
-                assert on.recorder is not None and off.recorder is not None
-                if (
-                    on.recorder.stream_fingerprint()
-                    != off.recorder.stream_fingerprint()
-                ):
-                    bad += 1
-                    print(f"{name}[{backend}]: span stream DIVERGED "
-                          f"between edges on and off")
-                    continue
-                # The streaming spill sink must be an exact stand-in for
-                # the in-memory recorder: same run fingerprint, same
-                # span/instant stream bit-for-bit.
-                with tempfile.TemporaryDirectory() as td:
-                    streamed = run_target(
-                        name, nprocs=args.nprocs, seed=args.seed,
-                        record=True, events=False,
-                        stream_dir=Path(td) / "spill",
-                    )
-                    assert streamed.recorder is not None
-                    if fingerprint(streamed) != base:
-                        bad += 1
-                        print(f"{name}[{backend}]: DIVERGED with streaming "
-                              f"recording on")
-                        continue
-                    if (
-                        streamed.recorder.stream_fingerprint()
-                        != on.recorder.stream_fingerprint()
-                    ):
-                        bad += 1
-                        print(f"{name}[{backend}]: streamed span stream "
-                              f"DIVERGED from in-memory recorder")
-                        continue
-                    # The live telemetry bus is an observer too: its
-                    # engine tick must leave the fingerprint unchanged,
-                    # and the feed it emits must be byte-identical on
-                    # every backend (frames derive from virtual time).
-                    feed_path = Path(td) / "live.jsonl"
-                    lived = run_target(
-                        name, nprocs=args.nprocs, seed=args.seed,
-                        record=True, live_path=feed_path,
-                    )
-                    assert lived.recorder is not None
-                    if fingerprint(lived) != base:
-                        bad += 1
-                        print(f"{name}[{backend}]: DIVERGED with live "
-                              f"telemetry on")
-                        continue
-                    feed = feed_path.read_bytes()
-                    if name not in feeds:
-                        feeds[name] = (backend, feed)
-                    elif feeds[name][1] != feed:
-                        bad += 1
-                        print(f"{name}[{backend}]: live feed DIVERGED from "
-                              f"backend {feeds[name][0]!r} (not bit-"
-                              f"deterministic)")
-                        continue
-                    drops = (
-                        on.recorder.dropped + off.recorder.dropped
-                        + streamed.recorder.dropped + lived.recorder.dropped
-                    )
-                if drops:
-                    bad += 1
-                    print(f"{name}[{backend}]: {drops} records DROPPED at "
-                          f"capacity — recording is incomplete")
-                    continue
-                print(f"{name}[{backend}]: ok (fingerprint and span stream "
-                      f"unchanged by recording, causal edges, streaming, and "
-                      f"live telemetry; feed bit-deterministic; 0 dropped)")
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_BACKEND, None)
-        else:
-            os.environ[ENV_BACKEND] = saved
-    print(
-        f"\n{checks - bad}/{checks} target/backend combinations deterministic "
-        f"under recording (backends: {', '.join(backends)})"
-    )
+    for name in targets:
+        base = fingerprint(
+            run_target(name, nprocs=args.nprocs, seed=args.seed, record=False)
+        )
+        on = run_target(name, nprocs=args.nprocs, seed=args.seed, record=True)
+        rec = fingerprint(on)
+        if base != rec:
+            bad += 1
+            print(f"{name}: DIVERGED with recording on")
+            for key in sorted(set(base) | set(rec)):
+                if base.get(key) != rec.get(key):
+                    print(f"  {key}: off={base.get(key)!r}")
+                    print(f"  {key}:  on={rec.get(key)!r}")
+            continue
+        # Causal edges must be metadata-only: recording with them
+        # disabled must reproduce the identical span stream.
+        off = run_target(name, nprocs=args.nprocs, seed=args.seed,
+                         record=True, edges=False)
+        assert on.recorder is not None and off.recorder is not None
+        if on.recorder.stream_fingerprint() != off.recorder.stream_fingerprint():
+            bad += 1
+            print(f"{name}: span stream DIVERGED between edges on and off")
+            continue
+        # The streaming spill sink must be an exact stand-in for the
+        # in-memory recorder: same run fingerprint, same span/instant
+        # stream bit-for-bit.
+        with tempfile.TemporaryDirectory() as td:
+            streamed = run_target(
+                name, nprocs=args.nprocs, seed=args.seed,
+                record=True, events=False, stream_dir=Path(td) / "spill",
+            )
+            assert streamed.recorder is not None
+            if fingerprint(streamed) != base:
+                bad += 1
+                print(f"{name}: DIVERGED with streaming recording on")
+                continue
+            if (
+                streamed.recorder.stream_fingerprint()
+                != on.recorder.stream_fingerprint()
+            ):
+                bad += 1
+                print(f"{name}: streamed span stream DIVERGED from "
+                      f"in-memory recorder")
+                continue
+            # The live telemetry bus is an observer too: its engine tick
+            # must leave the fingerprint unchanged.
+            lived = run_target(
+                name, nprocs=args.nprocs, seed=args.seed,
+                record=True, live_path=Path(td) / "live.jsonl",
+            )
+            assert lived.recorder is not None
+            if fingerprint(lived) != base:
+                bad += 1
+                print(f"{name}: DIVERGED with live telemetry on")
+                continue
+            drops = (
+                on.recorder.dropped + off.recorder.dropped
+                + streamed.recorder.dropped + lived.recorder.dropped
+            )
+        if drops:
+            bad += 1
+            print(f"{name}: {drops} records DROPPED at capacity — "
+                  f"recording is incomplete")
+            continue
+        print(f"{name}: ok (fingerprint and span stream unchanged by "
+              f"recording, causal edges, streaming, and live telemetry; "
+              f"0 dropped)")
+    print(f"\n{len(targets) - bad}/{len(targets)} targets deterministic "
+          f"under recording")
     return 1 if bad else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.obs", description=__doc__)
-    parser.add_argument(
-        "--backend",
-        choices=[*sorted(BACKENDS), "auto"],
-        default=None,
-        help="context-switch backend for the runs (sets $REPRO_SIM_BACKEND; "
-        "all backends produce identical results)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a target with recording on")
@@ -618,8 +555,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        os.environ[ENV_BACKEND] = args.backend
     return args.fn(args)
 
 

@@ -19,8 +19,8 @@ stable keys, and reports every relative change beyond a threshold:
   (maximum windowed p95/p99 across the run), with direction inferred
   from the metric name's unit — latency-style metrics regress upward,
   count-style ones only warn.
-* ``repro-bench-wall/1`` — entries matched by ``(scenario, backend,
-  nprocs, seed)``; ``events`` must be *exactly* equal (the simulated
+* ``repro-bench-wall/1`` — entries matched by ``(scenario, nprocs,
+  seed)``; ``events`` must be *exactly* equal (the simulated
   schedule is deterministic — a drift here is a bug, not noise) and
   ``best_wall_s`` regresses upward.
 * ``repro-bench-fleet/1`` — entries matched by ``jobs``; ``schedules``
@@ -284,13 +284,13 @@ def _hist_quantile(h: dict, q: float) -> float | None:
 def _diff_wall(report: DiffReport, old: dict, new: dict) -> None:
     def entry_map(doc: dict) -> dict[tuple, dict]:
         return {
-            (e["scenario"], e.get("backend", "thread"), e["nprocs"], e["seed"]): e
+            (e["scenario"], e["nprocs"], e["seed"]): e
             for e in doc.get("entries", [])
         }
 
     olds, news = entry_map(old), entry_map(new)
     for k in sorted(olds.keys() | news.keys()):
-        key = f"{k[0]}[{k[1]},np={k[2]},seed={k[3]}]"
+        key = f"{k[0]}[np={k[1]},seed={k[2]}]"
         o, n = olds.get(k), news.get(k)
         if o is None or n is None:
             _compare(report, key, "entry", None if o is None else 0.0,

@@ -1,12 +1,14 @@
-"""Deterministic discrete-event engine with direct-handoff processes.
+"""Deterministic discrete-event engine: one trampoline runs every process.
 
-The engine runs ``nprocs`` simulated processes.  Each process executes
-either a plain (blocking-style) Python function in its own execution
-context — an OS thread or a greenlet, depending on the switch backend —
-or a *generator* function driven as a coroutine on the engine's single
-stack (the ``coro`` backend's trampoline).  Either way the engine only
-ever lets **one** context run at a time: the process whose virtual
-clock is smallest.  This gives us the best of both worlds:
+The engine runs ``nprocs`` simulated processes and only ever lets
+**one** of them run at a time: the process whose virtual clock is
+smallest.  A process whose main function is a *generator function* runs
+as a coroutine on the engine's single stack, resumed by the trampoline
+loop in :meth:`Engine.run` with one ``send()`` per event.  A process
+whose main is a plain blocking function gets a compatibility OS thread
+instead; the thread hands control back to the trampoline at every
+suspension, so both kinds of main mix inside one engine.  This gives
+us the best of both worlds:
 
 * Runtime and application code reads exactly like the paper's C API —
   ordinary function calls — or, on the coroutine path, the same calls
@@ -14,7 +16,8 @@ clock is smallest.  This gives us the best of both worlds:
 * Execution is fully deterministic: events are ordered by
   ``(virtual time, insertion sequence)``, so a given seed always produces
   the same interleaving, the same steal pattern, and the same timings —
-  on every backend (see :mod:`repro.sim.backends`).
+  whether the mains are generators or blocking functions (see
+  ``tests/test_sim_backends.py``).
 
 Time model
 ----------
@@ -41,20 +44,21 @@ Every blocking primitive has a ``co_``-prefixed twin (:meth:`Proc.co_sync`,
 :meth:`Proc.co_park`, :meth:`Proc.co_park_until`) that **yields** the
 process instead of switching execution contexts.  The runtime layers
 thread these through ``yield from``, so a generator main function
-suspends all the way down to its driver — the ``coro`` backend's
-trampoline, where resuming a process is a single ``send()`` call — with
-one frame hop per level and no OS involvement.  The classic blocking
-forms are thin wrappers that :func:`drive` the coroutine forms with
-inline dispatches, so both calling conventions execute the *same*
-scheduling code and stay bit-for-bit equivalent on every backend.
+suspends all the way down to the trampoline, where resuming a process
+is a single ``send()`` call — with one frame hop per level and no OS
+involvement.  The classic blocking forms are thin wrappers that
+:func:`drive` the coroutine forms with inline dispatches, so both
+calling conventions execute the *same* scheduling code and stay
+bit-for-bit equivalent.
 
 Switching costs
 ---------------
 
-The scheduling decision runs in the *yielding* context and control
-passes directly to the chosen successor — the engine context only runs
-at startup, shutdown, and failure.  Two further fast paths avoid the
-switch entirely:
+For a coroutine process the scheduling decision runs in the trampoline
+between two ``send()`` calls.  A compat thread makes the decision
+itself (:meth:`Engine._dispatch`) and hands control back to the
+trampoline through a raw lock, which costs a kernel wakeup each way.
+Two further fast paths avoid the switch entirely:
 
 * **Sync elision**: when a syncing process would be resumed immediately
   anyway (no other live event at or before its clock), :meth:`Proc.sync`
@@ -64,13 +68,16 @@ switch entirely:
   process itself (e.g. a lone :meth:`Proc.park_until` timeout), the
   dispatch returns inline.
 
-See ``docs/performance.md`` for backend selection and measured costs.
+See ``docs/performance.md`` for measured costs.
 """
 
 from __future__ import annotations
 
+import _thread
 import heapq
+import inspect
 import itertools
+import threading
 from collections.abc import Callable, Generator, Iterable
 from dataclasses import dataclass
 from types import GeneratorType
@@ -78,7 +85,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.sim.backends import SwitchBackend, make_backend
 from repro.sim.machines import MachineSpec, uniform_cluster
 from repro.util.errors import SimDeadlockError, SimLimitError, SimShutdown
 
@@ -98,10 +104,10 @@ def drive(gen: Generator) -> Any:
     """Run a runtime coroutine to completion with blocking dispatches.
 
     The adapter between the two calling conventions: a ``co_``-style
-    generator yields each process that must suspend, and on backends
-    where the caller owns a real execution context (thread, greenlet,
-    thread-sem) the suspension is simply a blocking dispatch performed
-    inline.  Returns the generator's return value.  Because the
+    generator yields each process that must suspend, and when the
+    caller runs on a compat thread (a plain blocking main) the
+    suspension is simply a blocking dispatch performed inline.  Returns
+    the generator's return value.  Because the
     coroutine itself runs the exact same scheduling code either way,
     blocking and coroutine callers are bit-for-bit equivalent.
     """
@@ -245,8 +251,8 @@ class Proc:
         "_result",
         "_lock",
         "_thread",
-        "_glet",
         "_coro",
+        "_next",
         "_switch",
     )
 
@@ -266,11 +272,14 @@ class Proc:
         self._wake_payload: Any = None
         self._exc: BaseException | None = None
         self._result: Any = None
-        # Backend execution context (whichever the backend uses).
+        # Execution context: the trampoline's coroutine for a generator
+        # main, or a compat thread and its resume lock for a blocking one.
+        # A compat thread leaves its scheduling decision in ``_next``
+        # when it hands control back to the trampoline.
         self._lock = None
         self._thread = None
-        self._glet = None
         self._coro = None
+        self._next: Proc | None = None
         # Reusable one-element tuple for co_sync's suspend path: lets the
         # non-elided fast path return without allocating.
         self._switch = (self,)
@@ -342,10 +351,9 @@ class Proc:
         Returns an iterable that is *empty* when the sync elides —
         nothing is yielded, nothing is allocated — and yields this
         process exactly once when another process must run first.  The
-        driver (the ``coro`` backend's trampoline, or :func:`drive` on
-        thread-style backends) performs one dispatch per yielded
-        process, so both calling conventions run identical scheduling
-        code.
+        driver (the trampoline, or :func:`drive` on a compat thread)
+        performs one dispatch per yielded process, so both calling
+        conventions run identical scheduling code.
         """
         engine = self.engine
         delay_fn = engine._delay_fn
@@ -458,7 +466,6 @@ class Engine:
         max_events: int | None = None,
         max_time: float | None = None,
         strategy: SchedulingStrategy | None = None,
-        backend: str = "auto",
     ) -> None:
         """Create an engine.
 
@@ -473,14 +480,12 @@ class Engine:
                 decision points; None (default) and any strategy with
                 ``explores = False`` reproduce the historical
                 deterministic ``(time, seq)`` order bit-for-bit.
-            backend: Context-switch backend: ``"coro"``, ``"thread"``,
-                ``"greenlet"``, ``"thread-sem"``, or ``"auto"`` (the
-                default — honours ``$REPRO_SIM_BACKEND``, then picks
-                ``coro``, the generator trampoline).  All backends
-                produce identical results.
         """
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
+        # Keep at most 29 instance attributes: past that, CPython 3.11
+        # stops sharing instance-dict keys and every attribute read on
+        # the per-event path gets slower (~15% per micro-switch event).
         self.nprocs = nprocs
         self.strategy = strategy
         self.machine = machine if machine is not None else uniform_cluster(nprocs)
@@ -491,7 +496,6 @@ class Engine:
         self.events = 0
         streams = np.random.SeedSequence(seed).spawn(nprocs)
         self.procs = [Proc(self, r, np.random.default_rng(streams[r])) for r in range(nprocs)]
-        self.backend: SwitchBackend = make_backend(backend, self)
         self._heap: list[tuple[float, int, int, int]] = []  # (time, seq, rank, gen)
         self._seq = itertools.count()
         self._nstale = 0  # stale entries still physically in the heap
@@ -502,6 +506,10 @@ class Engine:
         self._failure: BaseException | None = None
         self._finish_times: list[float] = [0.0] * nprocs
         self._current: Proc | None = None
+        # Compat-thread handoff: a blocking main's thread releases this
+        # lock to return control to the trampoline.
+        self._tramp_lock = _thread.allocate_lock()
+        self._tramp_lock.acquire()
         # Hot-path caches, finalized at the top of run().
         self._delay_fn: Callable[[Proc, str], float] | None = None
         self._on_park: Callable[[Proc, str], None] | None = None
@@ -657,9 +665,8 @@ class Engine:
         limits, and advance its clock.  Returns ``None`` when the engine
         context should resume instead (completion, deadlock, limit
         violation, or a strategy error — failures are recorded in
-        ``self._failure`` for :meth:`run` to re-raise).  Called from
-        whichever context is yielding: a blocking dispatch or the coro
-        backend's trampoline.
+        ``self._failure`` for :meth:`run` to re-raise).  Called from the
+        trampoline, or from a compat thread's :meth:`_dispatch`.
         """
         dst: Proc | None = None
         failure: BaseException | None = None
@@ -708,27 +715,46 @@ class Engine:
             dst = None
         return dst
 
-    def _dispatch(self, src: Proc | None, dying: bool = False) -> None:
-        """Resume the next event's process, switching out of ``src``.
+    def _dispatch(self, src: Proc) -> None:
+        """Suspend compat thread ``src`` until its next event comes up.
 
-        Runs in ``src``'s context (``None`` = the engine context).  On
-        deadlock, limit violation, or a strategy error the failure is
-        recorded and control returns to the engine context, which
-        re-raises from :meth:`run`.  Returns without switching when the
-        chosen process is ``src`` itself.
+        Runs on ``src``'s thread: makes the scheduling decision, hands
+        control back to the trampoline (which resumes the chosen
+        process), and blocks until the trampoline resumes ``src``.
+        Returns without switching when the chosen process is ``src``
+        itself.  On deadlock, limit violation, or a strategy error the
+        failure is recorded and the trampoline stops, so :meth:`run`
+        re-raises it.
         """
         dst = self._pick()
         if dst is src:
-            return  # self-resume (or the engine context staying put)
-        if dying:
-            self.backend.exit_to(dst)
-            return
-        self.backend.switch(src, dst)
-        if self._shutdown and src is not None:
+            return  # self-resume
+        if src._coro is not None:
+            raise RuntimeError(
+                f"blocking primitive reached the engine from the coroutine "
+                f"context of rank {src.rank}: a generator main (and every "
+                f"task body or callback it runs) must suspend through the "
+                f"co_* coroutine protocol (yield from), not the blocking API"
+            )
+        src._next = dst
+        self._tramp_lock.release()
+        src._lock.acquire()
+        if self._shutdown:
             raise SimShutdown()
 
+    def _handoff(self, proc: Proc) -> Proc | None:
+        """Run compat thread ``proc`` until it suspends or finishes.
+
+        The trampoline's half of the compat-thread handoff: returns the
+        process the thread picked to run next (``None`` stops the
+        trampoline).
+        """
+        proc._lock.release()
+        self._tramp_lock.acquire()
+        return proc._next
+
     def _finish(self, proc: Proc) -> None:
-        """Per-process epilogue shared by thread-style and coroutine mains."""
+        """Per-process epilogue shared by compat-thread and coroutine mains."""
         proc.finished = True
         self._active -= 1
         self._finish_times[proc.rank] = proc._clock
@@ -738,12 +764,12 @@ class Engine:
             self._failure = proc._exc
 
     def _proc_main(self, proc: Proc, fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
-        """Body of one process context: run ``fn``, then hand off.
+        """Compat-thread body of one process: run ``fn``, then hand off.
 
-        Generator main functions work on every backend: here (thread,
-        greenlet, thread-sem) the returned generator is simply driven
-        with blocking dispatches.
+        A plain function that returns a generator still works: the
+        generator is driven with blocking dispatches.
         """
+        proc._lock.acquire()  # wait for the first resume
         if not self._shutdown:
             try:
                 res = fn(proc, *args)
@@ -756,19 +782,21 @@ class Engine:
                 proc._exc = exc
         self._finish(proc)
         if self._shutdown or self._failure is not None:
-            self.backend.exit_to(None)
+            proc._next = None
         else:
-            self._dispatch(proc, dying=True)
+            proc._next = self._pick()
+        self._tramp_lock.release()
 
-    def _proc_coro(self, proc: Proc) -> Generator[Proc, None, None]:
-        """Coroutine body of one process: the coro backend's unit of work.
+    def _proc_coro(
+        self, proc: Proc, fn: Callable[..., Any], args: tuple[Any, ...]
+    ) -> Generator[Proc, None, None]:
+        """Coroutine body of one process: the trampoline's unit of work.
 
         A generator the trampoline resumes with ``send()``; it yields
         every time ``proc`` suspends and returns when the main function
         finishes.  The epilogue runs *inside* the generator so a
         teardown ``throw(SimShutdown)`` still accounts the process.
         """
-        fn, args = self._mains[proc.rank]
         if not self._shutdown:
             try:
                 res = fn(proc, *args)
@@ -807,17 +835,38 @@ class Engine:
             if main is None:
                 raise RuntimeError(f"rank {rank} has no main function; call spawn()")
         self._active = self.nprocs
-        self.backend.prepare()
         try:
             for proc, (fn, args) in zip(self.procs, self._mains):
-                def main(p=proc, f=fn, a=args) -> None:
-                    self._proc_main(p, f, a)
-
-                self.backend.spawn(proc, main)
+                if inspect.isgeneratorfunction(fn):
+                    proc._coro = self._proc_coro(proc, fn, args)
+                else:
+                    # Compat path: a plain blocking main gets an OS thread.
+                    lock = _thread.allocate_lock()
+                    lock.acquire()
+                    proc._lock = lock
+                    proc._thread = threading.Thread(
+                        target=self._proc_main, args=(proc, fn, args),
+                        name=f"simproc-{proc.rank}", daemon=True,
+                    )
+                    proc._thread.start()
                 self._schedule(proc, 0.0, None)
-            # Hand control to the earliest process; it returns to the
-            # engine context only on completion or failure.
-            self._dispatch(None)
+            # The trampoline: one iteration per event.  Resume the chosen
+            # process, then pick the next; a compat thread picks its own
+            # successor and hands it back through _handoff.
+            pick = self._pick
+            dst = pick()
+            while dst is not None:
+                coro = dst._coro
+                if coro is None:
+                    dst = self._handoff(dst)
+                    continue
+                try:
+                    coro.send(None)
+                except StopIteration:
+                    # The main returned; _proc_coro already ran its epilogue.
+                    if self._failure is not None:
+                        break
+                dst = pick()
             if self._failure is not None:
                 for hook in self.failure_hooks:
                     try:
@@ -836,11 +885,45 @@ class Engine:
         )
 
     def _teardown(self) -> None:
-        """Unwind any still-running process contexts via :class:`SimShutdown`."""
+        """Unwind every unfinished process via :class:`SimShutdown`.
+
+        A compat thread is resumed (its pending dispatch raises
+        ``SimShutdown``) until it finishes; a suspended coroutine gets
+        ``SimShutdown`` thrown at its ``yield``.  Contexts that never
+        started — a thread whose ``start()`` failed, a generator never
+        resumed — have no frames to unwind and are skipped or closed.
+        Safe to call twice.
+        """
         self._shutdown = True
         for proc in self.procs:
-            self.backend.kill(proc)
-        self.backend.finalize()
+            if proc.finished:
+                continue
+            coro = proc._coro
+            if coro is None:
+                thread = proc._thread
+                if thread is not None and thread.is_alive():
+                    while not proc.finished:
+                        self._handoff(proc)
+                continue
+            state = inspect.getgeneratorstate(coro)
+            if state == inspect.GEN_CREATED:
+                coro.close()
+            elif state != inspect.GEN_CLOSED:
+                while not proc.finished:
+                    try:
+                        # Raises SimShutdown at the proc's suspended yield;
+                        # the epilogue inside _proc_coro marks it finished.
+                        # The loop guards against user code that catches
+                        # and re-yields.
+                        coro.throw(SimShutdown)
+                    except (StopIteration, SimShutdown):
+                        break
+        for proc in self.procs:
+            thread = proc._thread
+            if thread is not None and thread.ident is not None:
+                # ident is None for a thread whose start() failed; joining
+                # it would raise rather than reap anything.
+                thread.join(timeout=5.0)
 
 
 def run_spmd(
@@ -852,7 +935,6 @@ def run_spmd(
     max_events: int | None = None,
     max_time: float | None = None,
     strategy: SchedulingStrategy | None = None,
-    backend: str = "auto",
 ) -> SimResult:
     """Run ``main(proc, *args)`` on every rank and return the result.
 
@@ -874,7 +956,6 @@ def run_spmd(
         max_events=max_events,
         max_time=max_time,
         strategy=strategy,
-        backend=backend,
     )
     eng.spawn_all(main, *args)
     return eng.run()

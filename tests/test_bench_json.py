@@ -79,7 +79,6 @@ def test_bench_cli_writes_record(tmp_path):
 def _wall_entry(**over):
     entry = {
         "scenario": "queue",
-        "backend": "thread",
         "nprocs": 4,
         "seed": 0,
         "reps": 1,
@@ -103,6 +102,7 @@ def test_wall_write_then_validate_roundtrip(tmp_path):
 
 def test_wall_write_preserves_committed_baselines(tmp_path):
     path = tmp_path / "BENCH_wall.json"
+    # Committed baselines keep their legacy ``backend`` label verbatim.
     baseline = _wall_entry(backend="seed-thread", events_per_sec=30_000.0)
     write_wall_json([_wall_entry()], path, baselines=[baseline])
     # Regeneration without an explicit baselines argument keeps them.
@@ -132,7 +132,7 @@ def test_wall_validate_rejects_malformed_documents(tmp_path, mutation, fragment)
 
 
 def test_wall_measure_scenario_smoke():
-    entry = measure_scenario("queue", "thread", reps=1)
+    entry = measure_scenario("queue", reps=1)
     assert entry["events"] > 0
     assert entry["events_per_sec"] > 0
     assert entry["best_wall_s"] > 0
@@ -143,14 +143,13 @@ def test_wall_perf_cli_writes_record(tmp_path):
 
     out = tmp_path / "BENCH_wall.json"
     code = main(
-        ["perf", "--quick", "--only", "queue", "--backends", "thread",
-         "--json", str(out)]
+        ["perf", "--quick", "--only", "queue", "--json", str(out)]
     )
     assert code == 0
     doc = json.loads(out.read_text())
     validate_wall_json(doc)
     assert doc["entries"][0]["scenario"] == "queue"
-    assert doc["entries"][0]["backend"] == "thread"
+    assert "backend" not in doc["entries"][0]
 
 
 def test_process_stats_to_dict_includes_derived_fields():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 from types import SimpleNamespace
 
@@ -81,6 +82,26 @@ class TestProfiler:
         # via interpreter housekeeping and must not dominate.
         assert table["named"] >= 0.9
 
+    def test_switch_interval_lowered_while_sampling(self):
+        """The GIL must switch at least twice per sampling interval while
+        sampling, and the caller's setting must come back after stop()."""
+        before = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(0.005)
+            prof = SubsystemProfiler(interval=0.001).start()
+            assert sys.getswitchinterval() == pytest.approx(0.0005)
+            prof.stop()
+            assert sys.getswitchinterval() == pytest.approx(0.005)
+            # A switch interval already below interval/2 is never raised.
+            sys.setswitchinterval(0.0001)
+            low = sys.getswitchinterval()
+            prof = SubsystemProfiler(interval=0.001).start()
+            assert sys.getswitchinterval() == low
+            prof.stop()
+            assert sys.getswitchinterval() == low
+        finally:
+            sys.setswitchinterval(before)
+
     def test_stop_without_samples(self):
         table = SubsystemProfiler(interval=10.0).start()
         result = table.stop()
@@ -99,24 +120,24 @@ class TestWallJsonNotes:
     def test_profile_entries_are_lifted_into_notes(self, tmp_path):
         path = tmp_path / "wall.json"
         entries = [{
-            "scenario": "uts-small", "backend": "coro", "events": 1,
+            "scenario": "uts-small", "events": 1,
             "best_wall_s": 0.1, "events_per_sec": 10.0,
             "profile": {"samples": 4, "fractions": {"engine": 1.0}, "named": 1.0},
         }]
         write_wall_json(entries, path)
         doc = json.loads(path.read_text())
         assert "profile" not in doc["entries"][0]
-        assert doc["notes"]["profile"]["uts-small/coro"]["named"] == 1.0
+        assert doc["notes"]["profile"]["uts-small"]["named"] == 1.0
 
     def test_baselines_and_notes_survive_regeneration(self, tmp_path):
         path = tmp_path / "wall.json"
-        entry = {"scenario": "queue", "backend": "coro", "events": 1,
+        entry = {"scenario": "queue", "events": 1,
                  "best_wall_s": 0.1, "events_per_sec": 10.0}
         baseline = {**entry, "backend": "reference"}
         write_wall_json([entry], path,
                         baselines=[baseline],
-                        notes={"profile": {"queue/coro": {"named": 1.0}}})
+                        notes={"profile": {"queue": {"named": 1.0}}})
         write_wall_json([entry], path)  # regeneration without either
         doc = json.loads(path.read_text())
         assert doc["baselines"] == [baseline]
-        assert doc["notes"]["profile"]["queue/coro"]["named"] == 1.0
+        assert doc["notes"]["profile"]["queue"]["named"] == 1.0

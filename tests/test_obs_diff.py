@@ -33,7 +33,7 @@ def _wall_doc():
     return {
         "schema": "repro-bench-wall/1",
         "entries": [
-            {"scenario": "queue", "backend": "thread", "nprocs": 4, "seed": 0,
+            {"scenario": "queue", "nprocs": 4, "seed": 0,
              "events": 234, "best_wall_s": 0.002},
         ],
     }

@@ -1,8 +1,9 @@
 """Live telemetry bus: feed determinism, merging, rendering, fleet wiring.
 
 The bus is an observer: two identical runs produce byte-identical feeds
-and attaching it never changes the run fingerprint (the cross-backend
-half of that contract lives in ``repro.obs verify``).  These tests also
+and attaching it never changes the run fingerprint (the
+generator-vs-blocking half of that contract lives in
+``tests/test_sim_backends.py``).  These tests also
 cover the feed reader's torn-line tolerance, the schema validator, the
 parent-side fleet merge, and the flight recorder's latest-frame capture.
 """

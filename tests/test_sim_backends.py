@@ -1,14 +1,31 @@
-"""Backend equivalence and teardown robustness for the switch backends.
+"""Generator mains vs blocking mains: the engine's two execution paths.
 
-The engine's contract is that the context-switch mechanism is
-unobservable: every backend must produce bit-for-bit identical results
-— same event counts, same finish times, same counters, same recorded
-span streams, same exploration traces.  These tests enforce that
-contract across every backend available in the environment (greenlet
-cases skip when the optional package is absent; CI installs it).
+The engine runs a generator main as a coroutine on its trampoline and a
+plain blocking main on a compat thread.  Its contract is that the path
+is unobservable: the same mains must produce bit-for-bit identical
+results either way — same event counts, finish times, counters,
+recorded span streams, live feeds and exploration traces.
+
+These tests run every workload twice: once as written (every runtime
+main is a generator function) and once with generator mains forced onto
+compat threads by wrapping each as ``lambda proc, *a: drive(fn(proc,
+*a))``.  The wrapper is a test-only monkeypatch of
+:meth:`Engine.spawn`; the engine has no switch for it.  Teardown
+robustness for both kinds of context is checked at the end.
+
+The equivalence tests run in two modes, whose case ids keep the names
+of the switch backends the cases replaced: ``coro`` forces every main
+onto a compat thread, and ``thread-sem`` forces only the odd ranks, so
+trampoline coroutines and compat threads hand off to each other inside
+one run.
 """
 
 from __future__ import annotations
+
+import contextlib
+import inspect
+import itertools
+import threading
 
 import pytest
 
@@ -21,22 +38,57 @@ from repro.check.strategies import (
     ReplayStrategy,
 )
 from repro.obs.scenarios import fingerprint, run_target
-from repro.sim.backends import (
-    BACKENDS,
-    available_backends,
-    greenlet_available,
-    make_backend,
-    resolve_backend_name,
-)
-from repro.sim.engine import Engine, run_spmd
+from repro.sim.engine import Engine, drive, run_spmd
 from repro.util.errors import SimDeadlockError, SimShutdown
 
-ALL_BACKENDS = available_backends()
-ALT_BACKENDS = [b for b in ALL_BACKENDS if b != "thread"]
+_real_spawn = Engine.spawn
+_feeds = itertools.count()
 
-needs_greenlet = pytest.mark.skipif(
-    not greenlet_available(), reason="optional 'greenlet' package not installed"
-)
+
+def _every_rank(rank):
+    return True
+
+
+def _odd_ranks(rank):
+    return rank % 2 == 1
+
+
+# (case id, ranks whose generator mains are forced onto compat threads)
+MODES = [
+    pytest.param(_every_rank, id="coro"),
+    pytest.param(_odd_ranks, id="thread-sem"),
+]
+
+
+@contextlib.contextmanager
+def blocking_mains(force=_every_rank):
+    """Force the generator mains of ranks picked by ``force`` onto
+    compat threads for every engine spawned inside.
+
+    Yields a list that collects the rank of every forced main, so a
+    test can check the blocking path actually ran.
+    """
+    forced = []
+
+    def spawn(self, rank, fn, *args):
+        if inspect.isgeneratorfunction(fn) and force(rank):
+            gen_fn = fn
+            forced.append(rank)
+            fn = lambda proc, *a: drive(gen_fn(proc, *a))  # noqa: E731
+        _real_spawn(self, rank, fn, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "spawn", spawn)
+        yield forced
+
+
+def both_paths(fn, force=_every_rank):
+    """``(fn() with generator mains, fn() with forced blocking mains)``."""
+    generator = fn()
+    with blocking_mains(force) as forced:
+        blocking = fn()
+    assert forced, "no generator main was forced onto a compat thread"
+    return generator, blocking
 
 
 def _span_stream(recorder):
@@ -46,197 +98,72 @@ def _span_stream(recorder):
     ]
 
 
-# --------------------------------------------------------------------- #
-# Resolution and selection
-# --------------------------------------------------------------------- #
-def test_available_backends_always_include_thread():
-    names = available_backends()
-    assert "coro" in names
-    assert "thread" in names
-    assert "thread-sem" in names
-    assert names[0] == "coro"  # fastest first
-    assert set(names) <= set(BACKENDS)
-
-
-def test_resolve_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown simulation backend"):
-        resolve_backend_name("fibers")
-
-
-def test_resolve_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "thread-sem")
-    assert resolve_backend_name("auto") == "thread-sem"
-    # An explicit argument beats the environment.
-    assert resolve_backend_name("thread") == "thread"
-
-
-def test_resolve_auto_without_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-    # The trampoline needs nothing beyond the stdlib, so auto always
-    # resolves to it.
-    assert resolve_backend_name("auto") == "coro"
-
-
-def test_explicit_greenlet_without_package_raises(monkeypatch):
-    if greenlet_available():
-        pytest.skip("greenlet installed; the failure path is unreachable")
-    with pytest.raises(RuntimeError, match="greenlet"):
-        resolve_backend_name("greenlet")
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "greenlet")
-    with pytest.raises(RuntimeError, match="greenlet"):
-        resolve_backend_name("auto")
-
-
-def test_engine_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown simulation backend"):
-        Engine(2, backend="fibers")
+def _observed(name, tmp_path, **kw):
+    """Fingerprint, span stream, ``extra`` and live-feed bytes of a run."""
+    feed = tmp_path / f"live-{next(_feeds)}.jsonl"
+    run = run_target(name, seed=0, record=True, live_path=feed, **kw)
+    return (
+        fingerprint(run), _span_stream(run.recorder), run.extra,
+        feed.read_bytes(),
+    )
 
 
 # --------------------------------------------------------------------- #
-# Bit-for-bit equivalence across backends
+# Bit-for-bit equivalence of the two paths
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("force", MODES)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_check_scenarios_fingerprint_equivalence(scenario, backend, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "thread")
-    base = fingerprint(run_target(scenario, seed=0, record=True))
-    base_spans = _span_stream(run_target(scenario, seed=0, record=True).recorder)
-    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-    other_run = run_target(scenario, seed=0, record=True)
-    assert fingerprint(other_run) == base
-    assert _span_stream(other_run.recorder) == base_spans
+def test_check_scenarios_fingerprint_equivalence(scenario, force, tmp_path):
+    generator, blocking = both_paths(
+        lambda: _observed(scenario, tmp_path), force
+    )
+    assert blocking == generator
+    assert generator[3], "live feed is empty"
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
-def test_uts_fingerprint_equivalence(backend, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "thread")
-    base_run = run_target("uts-tiny", nprocs=4, seed=0, record=True)
-    base = fingerprint(base_run)
-    base_spans = _span_stream(base_run.recorder)
-    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-    other = run_target("uts-tiny", nprocs=4, seed=0, record=True)
-    assert fingerprint(other) == base
-    assert other.extra == base_run.extra  # node counts, throughput inputs
-    assert _span_stream(other.recorder) == base_spans
+@pytest.mark.parametrize("force", MODES)
+def test_uts_fingerprint_equivalence(force, tmp_path):
+    generator, blocking = both_paths(
+        lambda: _observed("uts-tiny", tmp_path, nprocs=4), force
+    )
+    assert blocking == generator  # includes extra: node counts, throughput
 
 
-@needs_greenlet
-def test_uts_small_thread_vs_greenlet(monkeypatch):
-    """The acceptance pairing: the big preset, thread vs greenlet."""
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "thread")
-    base = fingerprint(run_target("uts-small", nprocs=4, seed=0, record=False))
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "greenlet")
-    other = fingerprint(run_target("uts-small", nprocs=4, seed=0, record=False))
-    assert other == base
+@pytest.mark.slow
+def test_uts_small_fingerprint_equivalence():
+    """The headline preset: generator mains vs forced blocking mains."""
+    generator, blocking = both_paths(
+        lambda: fingerprint(run_target("uts-small", nprocs=4, seed=0, record=False))
+    )
+    assert blocking == generator
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("force", MODES)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_check_exploration_traces_equivalent(scenario, backend, monkeypatch):
-    """Exploring strategies must record identical decision traces on
-    every backend, and replaying a trace recorded on one backend must
-    reproduce the run on another."""
-    sc = make_scenario(scenario)
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "thread")
-    walk = RandomWalk(seed=7)
-    base = run_once(sc, walk, engine_seed=0)
-    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-    walk2 = RandomWalk(seed=7)
-    other = run_once(make_scenario(scenario), walk2, engine_seed=0)
-    assert other.events == base.events
-    assert walk2.decisions == walk.decisions
-    # Cross-backend replay: the recorded trace steers the other backend
-    # through the identical schedule.
-    replay = ReplayStrategy(list(walk.decisions))
-    replayed = run_once(make_scenario(scenario), replay, engine_seed=0)
-    assert replayed.events == base.events
+def test_check_exploration_traces_equivalent(scenario, force):
+    """A random walk records the identical decision trace on both paths,
+    and a trace recorded on one path replays the run on the other."""
+
+    def explore():
+        walk = RandomWalk(seed=7)
+        result = run_once(make_scenario(scenario), walk, engine_seed=0)
+        return result.events, list(walk.decisions)
+
+    (events, decisions), blocking = both_paths(explore, force)
+    assert blocking == (events, decisions)
+    with blocking_mains(force):
+        replayed = run_once(
+            make_scenario(scenario), ReplayStrategy(list(decisions)),
+            engine_seed=0,
+        )
+    assert replayed.events == events
+    replayed = run_once(
+        make_scenario(scenario), ReplayStrategy(list(blocking[1])),
+        engine_seed=0,
+    )
+    assert replayed.events == blocking[0]
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
-def test_finish_times_and_returns_equivalent(backend):
-    def main(proc):
-        for _ in range(10):
-            proc.compute(1e-6 * (proc.rank + 1))
-            proc.sync()
-        return proc.now
-
-    base = run_spmd(4, main, backend="thread")
-    other = run_spmd(4, main, backend=backend)
-    assert other.finish_times == base.finish_times
-    assert other.returns == base.returns
-    assert other.events == base.events
-    assert other.elapsed == base.elapsed
-
-
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
-def test_deadlock_identical_across_backends(backend):
-    def main(proc):
-        if proc.rank:
-            proc.park(where=f"stuck-{proc.rank}")
-
-    def run(b):
-        with pytest.raises(SimDeadlockError) as ei:
-            run_spmd(3, main, backend=b)
-        return str(ei.value), ei.value.parked
-
-    assert run("thread") == run(backend)
-
-
-# --------------------------------------------------------------------- #
-# Teardown robustness (satellite: never-started contexts must not hang)
-# --------------------------------------------------------------------- #
-def test_teardown_survives_thread_start_failure(monkeypatch):
-    """If a proc's execution context never starts, teardown must not
-    handshake against it forever."""
-    import threading
-
-    real_start = threading.Thread.start
-    started = []
-
-    def failing_start(self):
-        if self.name.startswith("simproc-") and len(started) >= 2:
-            raise RuntimeError("out of threads")
-        started.append(self.name)
-        real_start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", failing_start)
-    eng = Engine(4, backend="thread")
-    eng.spawn_all(lambda proc: proc.sync())
-    with pytest.raises(RuntimeError, match="out of threads"):
-        eng.run()  # must raise promptly, not hang in teardown
-
-
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
-def test_teardown_after_proc_failure(backend):
-    """A raising proc unwinds the other (parked and running) contexts."""
-
-    def main(proc):
-        if proc.rank == 0:
-            proc.compute(1e-6)
-            proc.sync()
-            raise ValueError("boom")
-        if proc.rank == 1:
-            proc.park(where="forever")
-        while True:
-            proc.compute(1e-6)
-            proc.sync()
-
-    for b in ("thread", backend):
-        with pytest.raises(ValueError, match="boom"):
-            run_spmd(3, main, backend=b)
-
-
-def test_teardown_is_idempotent_after_success():
-    eng = Engine(2, backend="thread")
-    eng.spawn_all(lambda proc: proc.rank)
-    result = eng.run()
-    assert result.returns == [0, 1]
-    eng._teardown()  # second teardown must be a no-op
-
-
-# --------------------------------------------------------------------- #
-# Exploration and replay on the trampoline backend
-# --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "make_strat",
     [
@@ -247,29 +174,116 @@ def test_teardown_is_idempotent_after_success():
     ids=["random-walk", "pct", "delay"],
 )
 @pytest.mark.parametrize("scenario", ["steals", "termination"])
-def test_exploration_strategies_on_coro_match_thread(
-    scenario, make_strat, monkeypatch
-):
-    """Every exploring strategy must drive the trampoline backend through
-    the identical schedule it drives OS threads through."""
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "thread")
-    s_thread = make_strat()
-    base = run_once(make_scenario(scenario), s_thread, engine_seed=0)
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "coro")
-    s_coro = make_strat()
-    other = run_once(make_scenario(scenario), s_coro, engine_seed=0)
-    assert other.events == base.events
-    assert s_coro.decisions == s_thread.decisions
+def test_exploration_strategies_on_coro_match_thread(scenario, make_strat):
+    """Every exploring strategy must drive generator mains on the
+    trampoline through the identical schedule it drives the same mains
+    through on compat threads."""
+
+    def explore():
+        strat = make_strat()
+        result = run_once(make_scenario(scenario), strat, engine_seed=0)
+        return result.events, list(strat.decisions)
+
+    generator, blocking = both_paths(explore)
+    assert blocking == generator
 
 
-def test_replay_on_coro_reproduces_coro_recorded_trace(monkeypatch):
+def test_replay_on_coro_reproduces_coro_recorded_trace():
     """A trace recorded on the trampoline replays on the trampoline."""
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "coro")
     walk = RandomWalk(seed=23)
     base = run_once(make_scenario("steals"), walk, engine_seed=0)
     replay = ReplayStrategy(list(walk.decisions))
     replayed = run_once(make_scenario("steals"), replay, engine_seed=0)
     assert replayed.events == base.events
+
+
+@pytest.mark.parametrize("force", MODES)
+def test_finish_times_and_returns_equivalent(force):
+    def main(proc):
+        for _ in range(10):
+            proc.compute(1e-6 * (proc.rank + 1))
+            yield from proc.co_sync()
+        return proc.now
+
+    def run():
+        r = run_spmd(4, main)
+        return r.finish_times, r.returns, r.events, r.elapsed
+
+    generator, blocking = both_paths(run, force)
+    assert blocking == generator
+
+
+@pytest.mark.parametrize("force", MODES)
+def test_deadlock_identical_across_backends(force):
+    def main(proc):
+        if proc.rank:
+            yield from proc.co_park(where=f"stuck-{proc.rank}")
+
+    def run():
+        with pytest.raises(SimDeadlockError) as ei:
+            run_spmd(3, main)
+        return str(ei.value), ei.value.parked
+
+    generator, blocking = both_paths(run, force)
+    assert blocking == generator
+
+
+# --------------------------------------------------------------------- #
+# Teardown robustness
+# --------------------------------------------------------------------- #
+def test_teardown_survives_thread_start_failure(monkeypatch):
+    """If a compat thread never starts, teardown must not handshake
+    against it forever."""
+    real_start = threading.Thread.start
+    started = []
+
+    def failing_start(self):
+        if self.name.startswith("simproc-") and len(started) >= 2:
+            raise RuntimeError("out of threads")
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    eng = Engine(4)
+    eng.spawn_all(lambda proc: proc.sync())
+    with pytest.raises(RuntimeError, match="out of threads"):
+        eng.run()  # must raise promptly, not hang in teardown
+
+
+@pytest.mark.parametrize("force", MODES)
+def test_teardown_after_proc_failure(force):
+    """A raising proc unwinds the other (parked and running) contexts,
+    identically on both paths."""
+
+    def main(proc):
+        if proc.rank == 0:
+            proc.compute(1e-6)
+            yield from proc.co_sync()
+            raise ValueError("boom")
+        if proc.rank == 1:
+            yield from proc.co_park(where="forever")
+        while True:
+            proc.compute(1e-6)
+            yield from proc.co_sync()
+
+    def run():
+        eng = Engine(3)
+        eng.spawn_all(main)
+        with pytest.raises(ValueError, match="boom"):
+            eng.run()
+        assert all(p.finished for p in eng.procs)
+        return eng.events, [p.now for p in eng.procs]
+
+    generator, blocking = both_paths(run, force)
+    assert blocking == generator
+
+
+def test_teardown_is_idempotent_after_success():
+    eng = Engine(2)
+    eng.spawn_all(lambda proc: proc.rank)
+    result = eng.run()
+    assert result.returns == [0, 1]
+    eng._teardown()  # second teardown must be a no-op
 
 
 class _CountingExplorer:
@@ -303,13 +317,13 @@ def test_explores_disables_sync_elision():
             proc.advance(1e-6 * (proc.rank + 1))
             yield from proc.co_sync()
 
-    plain = Engine(2, backend="coro")
+    plain = Engine(2)
     plain.spawn_all(main)
     plain.run()
     assert plain._elide is True  # default path keeps eliding
 
     strat = _CountingExplorer()
-    eng = Engine(2, strategy=strat, backend="coro")
+    eng = Engine(2, strategy=strat)
     eng.spawn_all(main)
     eng.run()
     assert eng._explores is True
@@ -320,20 +334,16 @@ def test_explores_disables_sync_elision():
     assert eng.events == plain.events
 
 
-# --------------------------------------------------------------------- #
-# Teardown robustness for generator contexts (coro backend)
-# --------------------------------------------------------------------- #
 def test_teardown_survives_unstarted_generators():
     """Ranks whose coroutines were never resumed (the generator analogue
     of a thread whose start() failed) must close cleanly, not hang."""
-    import inspect
 
     def main(proc):
         if proc.rank == 0:
             raise RuntimeError("immediate failure")
         yield from proc.co_sleep(1e-6)
 
-    eng = Engine(4, backend="coro")
+    eng = Engine(4)
     eng.spawn_all(main)
     with pytest.raises(RuntimeError, match="immediate failure"):
         eng.run()  # must raise promptly, not hang in teardown
@@ -344,7 +354,6 @@ def test_teardown_survives_unstarted_generators():
 def test_teardown_kills_half_finished_generators():
     """Procs suspended mid-generator when another rank fails are unwound
     via SimShutdown thrown at their suspension point."""
-    import inspect
 
     def main(proc):
         if proc.rank == 0:
@@ -352,7 +361,7 @@ def test_teardown_kills_half_finished_generators():
             raise ValueError("boom")
         yield from proc.co_park("forever")
 
-    eng = Engine(3, backend="coro")
+    eng = Engine(3)
     eng.spawn_all(main)
     with pytest.raises(ValueError, match="boom"):
         eng.run()
@@ -376,7 +385,7 @@ def test_coro_kill_runs_user_cleanup():
             cleaned.append(proc.rank)
             raise
 
-    eng = Engine(2, backend="coro")
+    eng = Engine(2)
     eng.spawn_all(main)
     with pytest.raises(ValueError, match="boom"):
         eng.run()
@@ -385,7 +394,7 @@ def test_coro_kill_runs_user_cleanup():
 
 
 # --------------------------------------------------------------------- #
-# Wake-delay validation (satellite: strategy-injected delays)
+# Wake-delay validation (strategy-injected delays)
 # --------------------------------------------------------------------- #
 class _BadDelay:
     """Strategy stub injecting an invalid delay at one site."""
@@ -419,7 +428,7 @@ def test_wake_rejects_invalid_injected_delay(value):
         proc.sync()
         proc.engine.wake(proc.engine.procs[0], proc.now, "hi")
 
-    eng = Engine(2, strategy=_BadDelay("wake", value), backend="thread")
+    eng = Engine(2, strategy=_BadDelay("wake", value))
     eng.spawn_all(main)
     with pytest.raises(ValueError, match="site 'wake'"):
         eng.run()
@@ -430,7 +439,7 @@ def test_sync_rejects_invalid_injected_delay(value):
     def main(proc):
         proc.sync()
 
-    eng = Engine(2, strategy=_BadDelay("sync", value), backend="thread")
+    eng = Engine(2, strategy=_BadDelay("sync", value))
     eng.spawn_all(main)
     with pytest.raises(ValueError, match="site 'sync'"):
         eng.run()
@@ -449,7 +458,7 @@ def test_wake_valid_delay_still_applies():
         proc.sync()
         proc.engine.wake(proc.engine.procs[0], proc.now)
 
-    eng = Engine(2, strategy=Delay("wake", 0.0), backend="thread")
+    eng = Engine(2, strategy=Delay("wake", 0.0))
     eng.spawn_all(main)
     result = eng.run()
     assert result.returns[0] == pytest.approx(6e-6)

@@ -37,15 +37,15 @@ class _FifoExplorer(SchedulingStrategy):
 
 
 def _count_switches(engine):
-    """Wrap the engine's backend to count real context switches."""
+    """Wrap the trampoline's compat-thread handoff to count real switches."""
     counts = {"switch": 0}
-    real = engine.backend.switch
+    real = engine._handoff
 
-    def counting_switch(src, dst):
+    def counting_handoff(proc):
         counts["switch"] += 1
-        real(src, dst)
+        return real(proc)
 
-    engine.backend.switch = counting_switch
+    engine._handoff = counting_handoff
     return counts
 
 
@@ -92,7 +92,7 @@ def test_no_switches_while_draining_alone():
     eng.spawn_all(main)
     counts = _count_switches(eng)
     eng.run()
-    # One switch in (engine -> proc); the exit is exit_to, not switch.
+    # One switch in (trampoline -> proc); the exit is not a handoff.
     assert counts["switch"] == 1
 
 
@@ -191,7 +191,7 @@ def test_park_until_woken_early_matches_explored_schedule():
 
 def test_lone_runner_park_until_self_resume():
     """A lone park_until resumes via its own timeout entry (the
-    self-resume path: dispatch returns without a backend switch)."""
+    self-resume path: dispatch returns without a handoff)."""
 
     def main(proc):
         t = []

@@ -210,3 +210,13 @@ def test_finish_times_per_rank():
 def test_machine_default_is_uniform_cluster():
     eng = Engine(4)
     assert eng.machine.name == uniform_cluster(4).name
+
+
+def test_engine_keeps_shared_instance_dict_keys():
+    """CPython 3.11 stops sharing instance-dict keys past 29 attributes,
+    which slows every attribute read on the per-event path; an engine
+    must stay within that after a run."""
+    eng = Engine(2)
+    eng.spawn_all(lambda proc: proc.sync())
+    eng.run()
+    assert len(vars(eng)) <= 29
