@@ -92,8 +92,11 @@ def measure_scenario(
     sampling self-profiler (:mod:`repro.bench.selfprof`) and its
     subsystem attribution table rides along as ``entry["profile"]`` —
     kept out of the timed reps so sampling overhead never pollutes the
-    recorded walls.
+    recorded walls.  One untimed warm-up run precedes the timed reps,
+    so a single-rep measurement does not pay first-run costs (imports,
+    caches) in its wall time.
     """
+    run_target(name, nprocs=nprocs, seed=seed, record=False)
     walls = []
     events = None
     for _ in range(reps):

@@ -57,12 +57,6 @@ class ExplorationStrategy(SchedulingStrategy):
     def begin(self, engine: Engine) -> None:
         super().begin(engine)
 
-    # ------------------------------------------------------------------ #
-    # Recording helpers
-    # ------------------------------------------------------------------ #
-    def _record_pick(self, rank: int) -> None:
-        self.decisions.append({"k": "pick", "rank": rank})
-
     def _record_delay(self, seconds: float, site: str) -> None:
         self.decisions.append(
             {"k": "delay", "i": self._delay_calls, "s": seconds, "site": site}
@@ -80,7 +74,7 @@ class RandomWalk(ExplorationStrategy):
 
     def choose(self, candidates: list[tuple[float, int, int, int]]) -> int:
         idx = self.rng.randrange(len(candidates))
-        self._record_pick(candidates[idx][2])
+        self.decisions.append({"k": "pick", "rank": candidates[idx][2]})
         return idx
 
 
@@ -132,14 +126,17 @@ class PctStrategy(ExplorationStrategy):
         self._priorities[rank] = self._demote_next
 
     def choose(self, candidates: list[tuple[float, int, int, int]]) -> int:
-        by_priority = lambda i: self._priorities.get(candidates[i][2], 0.0)  # noqa: E731
-        idx = max(range(len(candidates)), key=by_priority)
+        # Priorities are unique, so the first maximum is the only one.
+        priorities = self._priorities
+        prio = [priorities.get(c[2], 0.0) for c in candidates]
+        idx = prio.index(max(prio))
         rank = candidates[idx][2]
         if rank == self._last_rank:
             self._run_len += 1
             if self._run_len >= self.fair_bound:
                 self._demote(rank)
-                idx = max(range(len(candidates)), key=by_priority)
+                prio[idx] = priorities[rank]
+                idx = prio.index(max(prio))
                 rank = candidates[idx][2]
                 self._run_len = 0
         else:
@@ -148,7 +145,7 @@ class PctStrategy(ExplorationStrategy):
         if self._steps in self._change_points:
             self._demote(rank)
         self._steps += 1
-        self._record_pick(rank)
+        self.decisions.append({"k": "pick", "rank": rank})
         return idx
 
 
@@ -181,7 +178,7 @@ class DelayInjector(ExplorationStrategy):
             idx = self.rng.randrange(len(candidates))
         else:
             idx = 0  # engine default: earliest (time, seq)
-        self._record_pick(candidates[idx][2])
+        self.decisions.append({"k": "pick", "rank": candidates[idx][2]})
         return idx
 
     def delay(self, proc, site: str) -> float:

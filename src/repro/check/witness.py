@@ -93,7 +93,7 @@ class WitnessStrategy(ExplorationStrategy):
             idx = best
         else:
             idx = 0
-        self._record_pick(candidates[idx][2])
+        self.decisions.append({"k": "pick", "rank": candidates[idx][2]})
         return idx
 
     def delay(self, proc, site: str) -> float:

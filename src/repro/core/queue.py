@@ -69,6 +69,9 @@ class SplitQueue:
         self.default_body_size = default_body_size
         self.config = config
         self.counters = counters
+        # The owner's per-task counters (local_push/local_pop) bump the
+        # family's rank dicts directly: ``counters.add`` without the call.
+        self._rank_counts = counters._per_rank
         # Memoized push/pop costs per wire size: the cost model is a pure
         # function of the (immutable) machine spec, and task wire sizes
         # repeat, so the hot paths reuse the exact floats it computed.
@@ -145,7 +148,7 @@ class SplitQueue:
             raise TaskCollectionError("push_local called by non-owner")
         engine = self.engine
         m = engine.machine
-        self.counters.add(proc.rank, "local_push")
+        self._rank_counts[proc.rank]["local_push"] += 1.0
         if self.config.split_queues:
             wire = task.wire_size(self.default_body_size)
             cost = self._push_costs.get(wire)
@@ -203,7 +206,7 @@ class SplitQueue:
                 cost = m.local_copy_time(wire)
                 self._copy_costs[wire] = cost
             proc._clock += cost  # advance(): model constant, >= 0
-            self.counters.add(proc.rank, "local_pop")
+            self._rank_counts[proc.rank]["local_pop"] += 1.0
             if not self._shared and len(private) >= 2:
                 yield from self._co_maybe_release(proc)
             return task
@@ -215,7 +218,7 @@ class SplitQueue:
         if task is not None:
             trace(proc, "q-pop", (self.owner, task.uid))
             proc.advance(m.local_copy_time(self._wire(task)))
-            self.counters.add(proc.rank, "local_pop")
+            self._rank_counts[proc.rank]["local_pop"] += 1.0
         yield from self.mutex.co_release(proc)
         return task
 

@@ -54,7 +54,7 @@ def co_run_process(tc):
     selector = make_victim_selector(cfg.steal_policy, proc)
     before = {k: shared.counters.get(proc.rank, c) for k, c in _STAT_KEYS.items()}
     yield from armci.co_barrier(proc)
-    t_start = proc.now
+    t_start = proc._clock
     time_working = 0.0
     executed = 0
     fail_streak = 0
@@ -79,7 +79,7 @@ def co_run_process(tc):
                         f"rank {proc.rank}: task callback handle {task.callback} "
                         "not registered (collective registration mismatch?)"
                     ) from None
-                t0 = proc.now
+                t0 = proc._clock
                 # Callbacks may be plain blocking functions or
                 # coroutine-protocol generators; drive the latter here.
                 # The dispatch is written twice so an unobserved run pays
@@ -92,12 +92,12 @@ def co_run_process(tc):
                         res = fn(tc, task)
                         if type(res) is GeneratorType:
                             yield from res
-                    observe(proc, "task_time", proc.now - t0)
+                    observe(proc, "task_time", proc._clock - t0)
                 else:
                     res = fn(tc, task)
                     if type(res) is GeneratorType:
                         yield from res
-                time_working += proc.now - t0
+                time_working += proc._clock - t0
                 executed += 1
                 continue
             # Local queue drained: this rank is passive.  Vote (or run the
@@ -108,7 +108,7 @@ def co_run_process(tc):
                 break
             if cfg.load_balancing and proc.nprocs > 1:
                 victim = selector.next_victim()
-                t_steal = proc.now
+                t_steal = proc._clock
                 with span(proc, "steal", "steal", detail=victim):
                     got = yield from shared.queues[victim].co_steal_from(
                         proc,
@@ -126,11 +126,11 @@ def co_run_process(tc):
                             yield from res
                         yield from queue.co_absorb_stolen(proc, got)
                 if got:
-                    observe(proc, "steal_latency", proc.now - t_steal)
+                    observe(proc, "steal_latency", proc._clock - t_steal)
                     observe(proc, "steal_chunk", len(got))
                     fail_streak = 0
                     continue
-                observe(proc, "steal_fail_latency", proc.now - t_steal)
+                observe(proc, "steal_fail_latency", proc._clock - t_steal)
                 fail_streak += 1
             # Exponential backoff between failed steals; woken early the
             # moment a termination token lands in the mailbox.
@@ -138,10 +138,10 @@ def co_run_process(tc):
                 cfg.idle_backoff * (1 << min(fail_streak, 16)),
                 cfg.max_idle_backoff,
             )
-            t_idle = proc.now
+            t_idle = proc._clock
             with span(proc, "idle-wait", "idle", detail=fail_streak):
                 yield from armci.co_wait_mailbox(proc, td.tag, backoff)
-            observe(proc, "idle_wait", proc.now - t_idle)
+            observe(proc, "idle_wait", proc._clock - t_idle)
     finally:
         shared.active[proc.rank] = None
 
@@ -158,7 +158,7 @@ def co_run_process(tc):
     stats = ProcessStats(
         rank=proc.rank,
         tasks_executed=executed,
-        time_total=proc.now - t_start,
+        time_total=proc._clock - t_start,
         time_working=time_working,
     )
     for attr, key in _STAT_KEYS.items():

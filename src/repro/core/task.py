@@ -49,14 +49,14 @@ def _copy_body(body: Any) -> Any:
     if tp in _ATOMIC_TYPE_SET:
         return body
     if tp is tuple:
-        if all(type(v) in _ATOMIC_TYPE_SET for v in body):
+        if _ATOMIC_TYPE_SET.issuperset(map(type, body)):
             return body
     elif _is_frozen_dataclass(tp):
         try:
             values = vars(body).values()
         except TypeError:  # slotted dataclass: no __dict__
             return copy.deepcopy(body)
-        if all(type(v) in _ATOMIC_TYPE_SET for v in values):
+        if _ATOMIC_TYPE_SET.issuperset(map(type, values)):
             return body
     return copy.deepcopy(body)
 

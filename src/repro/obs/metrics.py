@@ -171,6 +171,8 @@ class CounterFamily:
     """A two-level counter map: ``counters[rank][key] -> float``.
 
     Also maintains a global aggregate accessible via :meth:`total`.
+    Per-task hot paths may bump ``_per_rank[rank][key]`` directly,
+    which is exactly :meth:`add` without the call.
     """
 
     def __init__(self) -> None:

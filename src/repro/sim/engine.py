@@ -174,9 +174,9 @@ class SchedulingStrategy:
     through adversarial interleavings.
     """
 
-    #: When True the engine materializes the full runnable set each event
-    #: and asks :meth:`choose`; when False it uses the fast heap-pop path
-    #: (and elides switches for immediately-resumable syncs).
+    #: When True the engine keeps one pending entry per rank and asks
+    #: :meth:`choose` among them each event; when False it uses the fast
+    #: heap-pop path (and elides switches for immediately-resumable syncs).
     explores: bool = False
 
     def begin(self, engine: "Engine") -> None:
@@ -186,8 +186,9 @@ class SchedulingStrategy:
     def choose(self, candidates: list[tuple[float, int, int, int]]) -> int:
         """Pick the next event among ``candidates`` (one per runnable rank).
 
-        ``candidates`` holds ``(time, seq, rank, gen)`` heap entries sorted
-        in the engine's default order; return the index to resume next.
+        ``candidates`` holds each runnable rank's earliest pending ``(time,
+        seq, rank, gen)`` entry, sorted in the engine's default order;
+        return the index to resume next.
         Only called when ``explores`` is True and at least two processes
         are runnable.
         """
@@ -243,7 +244,6 @@ class Proc:
         "blocked_at",
         "state",
         "_gen",
-        "_pending",
         "_clock",
         "_cpu_factor",
         "_wake_payload",
@@ -262,8 +262,10 @@ class Proc:
         self.rng = rng
         self.finished = False
         self.blocked_at: str | None = None  # description of park site, for deadlock msgs
-        self._gen = 0  # resume generation; stale heap entries are skipped
-        self._pending = 0  # heap entries carrying the current generation
+        # Resume generation, bumped on every resume: a heap entry from an
+        # older generation is a superseded wake-up (the park_until timeout
+        # after an earlier wake) and is skipped when popped.
+        self._gen = 0
         self._clock = 0.0
         # The machine model is fixed at engine construction, so this
         # rank's relative CPU speed is a constant: cache it out of the
@@ -376,12 +378,12 @@ class Proc:
                 proc = procs[entry[2]]
                 if proc.finished or entry[3] != proc._gen:
                     heapq.heappop(heap)
-                    engine._nstale -= 1
                     continue
                 if entry[0] > clock:
                     break  # earliest live event is later: we'd run next
                 # Another process must run first: full handoff.
-                engine._schedule(self, clock, None)
+                self._wake_payload = None
+                heapq.heappush(heap, (clock, next(engine._seq), self.rank, self._gen))
                 return self._switch
             # Heap empty or earliest live event strictly later — an
             # elided event: counted, limit-checked, but never switched.
@@ -391,7 +393,10 @@ class Proc:
             if engine._limits:
                 engine._check_limits(clock)
             return ()
-        engine._schedule(self, self._clock, None)
+        # Exploring (elision is off exactly then): a running process has
+        # no pending entry, so its slot is simply set.
+        self._wake_payload = None
+        engine._live[self.rank] = (self._clock, next(engine._seq), self.rank, self._gen)
         return self._switch
 
     def sleep(self, seconds: float) -> None:
@@ -498,7 +503,9 @@ class Engine:
         self.procs = [Proc(self, r, np.random.default_rng(streams[r])) for r in range(nprocs)]
         self._heap: list[tuple[float, int, int, int]] = []  # (time, seq, rank, gen)
         self._seq = itertools.count()
-        self._nstale = 0  # stale entries still physically in the heap
+        # Exploring runs bypass the heap: each rank's earliest pending
+        # (time, seq, rank, gen) entry, or None when it has none.
+        self._live: list[tuple[float, int, int, int] | None] = [None] * nprocs
         self._shutdown = False
         self._started = False
         self._parked = 0
@@ -564,16 +571,21 @@ class Engine:
     # ------------------------------------------------------------------ #
     def _schedule(self, proc: Proc, time: float, payload: Any) -> None:
         proc._wake_payload = payload
-        proc._pending += 1
-        heapq.heappush(self._heap, (time, next(self._seq), proc.rank, proc._gen))
+        entry = (time, next(self._seq), proc.rank, proc._gen)
+        if self._explores:
+            cur = self._live[proc.rank]
+            if cur is None or entry < cur:
+                self._live[proc.rank] = entry
+        else:
+            heapq.heappush(self._heap, entry)
 
     def wake(self, proc: Proc, time: float, payload: Any = None) -> None:
         """Wake a parked process at virtual ``time`` with ``payload``.
 
         The waker's clock is typically ``time`` or earlier; the wakee's
         clock is advanced to at least ``time`` when it resumes.  If the
-        process was parked with a timeout (:meth:`Proc.park_until`), the
-        pending timeout entry becomes stale and is skipped.
+        process was parked with a timeout (:meth:`Proc.park_until`), it
+        resumes at the earlier of the timeout and ``time``.
 
         Raises:
             ValueError: If the strategy's injected delay produces a
@@ -604,82 +616,56 @@ class Engine:
                 f"virtual time {time:.6f}s exceeded max_time={self.max_time}s"
             )
 
-    def _next_event(self) -> tuple[float, int, int, int] | None:
-        """Select the next (time, seq, rank, gen) entry to resume, or None.
-
-        With no strategy (or a non-exploring one) this is the fast path:
-        pop the heap minimum, skipping stale entries.  An exploring
-        strategy instead sees the full runnable set — the earliest live
-        entry of every runnable process — and picks one; this is the
-        decision point schedule exploration drives.  The chosen entry is
-        left in place (it goes stale when its process's generation
-        bumps) and the heap is compacted whenever stale entries
-        outnumber live ones, keeping each scan O(live) amortized
-        instead of the seed's per-event O(heap) rebuild.
-        """
-        heap = self._heap
-        procs = self.procs
-        if not self._explores:
-            pop = heapq.heappop
-            while heap:
-                entry = pop(heap)
-                proc = procs[entry[2]]
-                if proc.finished or entry[3] != proc._gen:
-                    self._nstale -= 1
-                    continue  # stale entry: already resumed since scheduling
-                return entry
-            return None
-        if self._nstale > 32 and self._nstale * 2 > len(heap):
-            heap[:] = [
-                e for e in heap
-                if not procs[e[2]].finished and e[3] == procs[e[2]]._gen
-            ]
-            heapq.heapify(heap)
-            self._nstale = 0
-        best: dict[int, tuple[float, int, int, int]] = {}
-        for entry in heap:
-            proc = procs[entry[2]]
-            if proc.finished or entry[3] != proc._gen:
-                continue
-            cur = best.get(entry[2])
-            if cur is None or entry < cur:
-                best[entry[2]] = entry
-        if not best:
-            heap.clear()
-            self._nstale = 0
-            return None
-        candidates = sorted(best.values())
-        strat = self.strategy
-        idx = strat.choose(candidates) if len(candidates) > 1 else 0
-        if not 0 <= idx < len(candidates):
-            raise RuntimeError(
-                f"strategy chose index {idx} among {len(candidates)} candidates"
-            )
-        return candidates[idx]
-
     def _pick(self) -> Proc | None:
         """Choose, account, and return the next process to resume.
 
-        This *is* the scheduling decision: select the next live event,
-        bump the chosen process's generation, count the event, check
-        limits, and advance its clock.  Returns ``None`` when the engine
-        context should resume instead (completion, deadlock, limit
-        violation, or a strategy error — failures are recorded in
-        ``self._failure`` for :meth:`run` to re-raise).  Called from the
-        trampoline, or from a compat thread's :meth:`_dispatch`.
+        This *is* the scheduling decision: select the next event, bump
+        the chosen process's generation, count the event, check limits,
+        and advance its clock.  With no strategy (or a non-exploring
+        one) the event is the heap minimum, skipping superseded entries.
+        An exploring strategy instead sees the full runnable set — the
+        ``_live`` slot of every rank that has one, sorted, built in
+        O(nprocs) with no heap traffic — and picks one; this is the
+        decision point schedule exploration drives.
+
+        Returns ``None`` when the engine context should resume instead
+        (completion, deadlock, limit violation, or a strategy error —
+        failures are recorded in ``self._failure`` for :meth:`run` to
+        re-raise).  Called from the trampoline, or from a compat
+        thread's :meth:`_dispatch`.
         """
         dst: Proc | None = None
         failure: BaseException | None = None
         if self._active:
             try:
-                entry = self._next_event()
+                procs = self.procs
+                if self._explores:
+                    candidates = sorted(filter(None, self._live))
+                    n = len(candidates)
+                    if n:
+                        idx = self.strategy.choose(candidates) if n > 1 else 0
+                        if not 0 <= idx < n:
+                            raise RuntimeError(
+                                f"strategy chose index {idx} among {n} candidates"
+                            )
+                        entry = candidates[idx]
+                        self._live[entry[2]] = None
+                    else:
+                        entry = None
+                else:
+                    heap = self._heap
+                    while heap:
+                        entry = heapq.heappop(heap)
+                        proc = procs[entry[2]]
+                        if not proc.finished and entry[3] == proc._gen:
+                            break  # older generations were superseded
+                    else:
+                        entry = None
                 if entry is None:
-                    parked = [
-                        (p.rank, p.blocked_at) for p in self.procs if not p.finished
-                    ]
+                    parked = [(p.rank, p.blocked_at) for p in procs if not p.finished]
                     blocked = ", ".join(
                         f"rank {p.rank} at {p.blocked_at!r} (t={p.now * 1e6:.3f}us)"
-                        for p in self.procs
+                        for p in procs
                         if not p.finished
                     )
                     failure = SimDeadlockError(
@@ -688,12 +674,7 @@ class Engine:
                     )
                 else:
                     time = entry[0]
-                    proc = self.procs[entry[2]]
-                    # The consumed entry (and, when exploring, the one left
-                    # in the heap) plus any same-generation siblings go
-                    # stale now that the generation bumps.
-                    self._nstale += proc._pending - (not self._explores)
-                    proc._pending = 0
+                    proc = procs[entry[2]]
                     proc._gen += 1
                     if proc.blocked_at is not None:
                         proc.blocked_at = None
@@ -758,8 +739,7 @@ class Engine:
         proc.finished = True
         self._active -= 1
         self._finish_times[proc.rank] = proc._clock
-        self._nstale += proc._pending
-        proc._pending = 0
+        self._live[proc.rank] = None
         if proc._exc is not None and self._failure is None:
             self._failure = proc._exc
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
+import types
+
 import pytest
 
-from repro.sim.engine import Engine, run_spmd
+import repro.sim.engine as engine_mod
+from repro.sim.engine import Engine, SchedulingStrategy, run_spmd
 from repro.sim.machines import heterogeneous_cluster, uniform_cluster
 from repro.util.errors import SimDeadlockError, SimLimitError
 
@@ -220,3 +224,122 @@ def test_engine_keeps_shared_instance_dict_keys():
     eng.spawn_all(lambda proc: proc.sync())
     eng.run()
     assert len(vars(eng)) <= 29
+
+
+# --------------------------------------------------------------------- #
+# Exploring decision point: one pending entry per rank
+# --------------------------------------------------------------------- #
+class _CandidateRecorder(SchedulingStrategy):
+    """Exploring strategy that keeps the default order and records every
+    candidate list it is offered (and which ranks had finished)."""
+
+    explores = True
+
+    def __init__(self):
+        self.offers = []
+
+    def choose(self, candidates):
+        finished = [p.rank for p in self.engine.procs if p.finished]
+        self.offers.append((list(candidates), finished))
+        return 0
+
+
+def _park_then_wake(wake_time):
+    def main(proc):
+        if proc.rank == 0:
+            payload = yield from proc.co_park_until(5e-6, where="poll")
+            return (payload, proc.now)
+        proc.compute(1e-6)
+        yield from proc.co_sync()
+        proc.engine.wake(proc.engine.procs[0], wake_time, "posted")
+        proc.compute(10e-6)
+        yield from proc.co_sync()
+        return proc.now
+
+    return main
+
+
+@pytest.mark.parametrize("wake_time", [2e-6, 8e-6], ids=["earlier", "later"])
+def test_parked_rank_offers_its_earlier_entry(wake_time):
+    """park_until(5us) then a wake at ``wake_time``: the rank's one
+    candidate is whichever entry is earlier, and it resumes with the
+    wake payload exactly as the heap-ordered run does."""
+    main = _park_then_wake(wake_time)
+    plain = run_spmd(2, main)
+    strat = _CandidateRecorder()
+    explored = run_spmd(2, main, strategy=strat)
+    assert explored.returns == plain.returns
+    assert explored.returns[0] == ("posted", min(5e-6, wake_time))
+    offered = [c for cands, _ in strat.offers for c in cands if c[2] == 0]
+    assert offered[-1][0] == min(5e-6, wake_time)
+    # No rank is ever offered twice in one decision.
+    for cands, _ in strat.offers:
+        ranks = [c[2] for c in cands]
+        assert len(ranks) == len(set(ranks))
+
+
+def test_finished_rank_never_offered():
+    def main(proc):
+        for _ in range(3 * proc.rank):
+            proc.compute(1e-6)
+            yield from proc.co_sync()
+        return proc.rank
+
+    strat = _CandidateRecorder()
+    eng = Engine(3, strategy=strat)
+    eng.spawn_all(main)
+    eng.run()
+    assert any(finished for _, finished in strat.offers)
+    for cands, finished in strat.offers:
+        assert not {c[2] for c in cands} & set(finished)
+    assert eng._live == [None, None, None]
+
+
+@pytest.mark.parametrize("explores", [False, True], ids=["plain", "exploring"])
+def test_all_parked_deadlock_unchanged(explores):
+    def main(proc):
+        proc.compute(1e-6 * (proc.rank + 1))
+        yield from proc.co_sync()
+        yield from proc.co_park(f"stuck-{proc.rank}")
+
+    strategy = _CandidateRecorder() if explores else None
+    with pytest.raises(SimDeadlockError) as info:
+        run_spmd(2, main, strategy=strategy)
+    assert info.value.parked == [(0, "stuck-0"), (1, "stuck-1")]
+    assert str(info.value) == (
+        "no runnable process; 2 still active: "
+        "rank 0 at 'stuck-0' (t=1.000us), rank 1 at 'stuck-1' (t=2.000us)"
+    )
+
+
+def test_exploring_run_never_touches_the_heap(monkeypatch):
+    """The exploring decision point is O(nprocs): no heap push or pop."""
+    calls = {"heappush": 0, "heappop": 0}
+
+    def counting(name):
+        real = getattr(heapq, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        engine_mod, "heapq",
+        types.SimpleNamespace(heappush=counting("heappush"), heappop=counting("heappop")),
+    )
+
+    def main(proc):
+        for i in range(5):
+            proc.compute(1e-6 * ((proc.rank + i) % 3 + 1))
+            yield from proc.co_sync()
+        yield from proc.co_park_until(proc.now + 1e-6, where="tick")
+
+    run_spmd(3, main)
+    assert calls["heappush"] > 0  # the counter sees the plain path
+    calls.update(heappush=0, heappop=0)
+    strat = _CandidateRecorder()
+    run_spmd(3, main, strategy=strat)
+    assert strat.offers
+    assert calls == {"heappush": 0, "heappop": 0}
