@@ -9,10 +9,12 @@ the lockset held at each point.  :class:`TraceCapture` records exactly
 that.
 
 A capture rides on the race detector (``RaceDetector.attach(engine,
-capture=True)``): every sync/access hook the detector receives is
-forwarded here and appended as a :class:`TraceEvent`.  Capture is
-strictly observational — it performs no ``sync``/``advance`` and draws
-no randomness, so a captured run is bit-for-bit the run it observes.
+capture=True)``): the detector subscribes to the engine's probe stream
+(:mod:`repro.sim.probe`), and every sync, access and protocol probe it
+receives is forwarded here and appended as a :class:`TraceEvent`.
+Capture is strictly observational — it performs no ``sync``/``advance``
+and draws no randomness, so a captured run is bit-for-bit the run it
+observes.
 
 Event kinds
 -----------

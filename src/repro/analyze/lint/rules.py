@@ -315,10 +315,11 @@ def rpr004(tree: ast.Module, source: str):
 
 _FLAG_HINT = re.compile(r"(dirty|done|mark|flag)", re.I)
 
-# The repro.obs recording API is a pure observer (it only reads proc.now
-# and appends metadata) — its names collide with the flag hint
-# (edge_mark, instant) but never store protocol state.
-_OBSERVER_CALLS = re.compile(r"^(edge_\w+|causal_edge|span|instant|observe)$")
+# The repro.obs recording API and the probe stream's ``emit`` are pure
+# observers (they only read proc.now and append metadata) — their names
+# and probe kinds collide with the flag hint (edge_mark, instant,
+# ``emit(proc, DIRTY_MARK, ...)``) but never store protocol state.
+_OBSERVER_CALLS = re.compile(r"^(edge_\w+|causal_edge|span|instant|observe|emit)$")
 
 
 def _carries_flag_store(arg: ast.AST, defs: dict[str, ast.AST]) -> bool:

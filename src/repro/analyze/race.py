@@ -1,8 +1,9 @@
 """Happens-before data-race detection for the simulated PGAS machine.
 
 A :class:`RaceDetector` attaches to an :class:`~repro.sim.engine.Engine`
-(like the tracer: ``RaceDetector.attach(engine)``) and observes two
-kinds of events through hooks in the runtime layers:
+(like the tracer: ``RaceDetector.attach(engine)``) and subscribes to the
+engine's probe stream (:mod:`repro.sim.probe`), mapping each probe to
+one of the public methods below.  It observes two kinds of events:
 
 * **Synchronization** — mutex acquire/release, barrier and collective
   completion, one-sided message delivery (post → poll), remote atomics,
@@ -11,7 +12,7 @@ kinds of events through hooks in the runtime layers:
   acquire joins it.
 * **Shared-region accesses** — reads/writes of ARMCI shared state
   (split-queue descriptors and metadata, termination flags, GA
-  patches), recorded by hook calls placed at the state-touch points in
+  patches), announced by ``ACCESS`` probes at the state-touch points in
   ``repro.core`` / ``repro.ga``.
 
 Two accesses to the same region race when they conflict (different
@@ -46,16 +47,17 @@ from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.analyze.capture import TraceCapture
 from repro.analyze.vectorclock import VectorClock
+from repro.sim import probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine, Proc
 
 __all__ = ["Access", "Race", "RaceDetector", "RaceGroup", "dedupe_races", "region_class"]
 
-#: Hook-call frames skipped when attributing an access to a call site.
+#: Probe-delivery frames skipped when attributing an access to a call site.
 _SITE_SKIP = (
     "analyze/race.py",
-    "analyze/hooks.py",
+    "sim/probe.py",
     "armci/runtime.py",
     "sim/resources.py",
 )
@@ -120,6 +122,21 @@ class Race:
         return f"{head}\n    {self.first.describe()}\n    {self.second.describe()}"
 
 
+#: Protocol probes the capture records as ``protocol`` events (the probe
+#: kind is the event's ``what``): kind -> names of its positional
+#: arguments in the event data.
+_PROTOCOL_FIELDS = {
+    probe.QUEUE_RELEASE: ("n",),
+    probe.STEAL_OWN_LOCK: ("victim",),
+    probe.MARK_DECISION: ("victim", "needed", "thief_voted", "wave"),
+    probe.VOTE: ("wave", "color"),
+    probe.WAVE_START: ("wave",),
+    probe.WAVE_DOWN: ("wave",),
+    probe.WAVE_COMPLETE: ("wave", "color", "done"),
+    probe.TD_SEND: ("dest", "token"),
+}
+
+
 class _Region:
     """Per-region last-access table (one slot per rank and access class)."""
 
@@ -135,8 +152,8 @@ class RaceDetector:
     """Engine-wide vector-clock race detector.
 
     Attach before :meth:`Engine.run`; read :attr:`races` (or
-    :meth:`report`) after the run.  Costs nothing when not attached —
-    every hook is a single dict probe, the same pattern as the tracer.
+    :meth:`report`) after the run.  Costs nothing when not attached: it
+    is one subscriber of the probe stream, like the tracer.
     """
 
     _KEY = "race-detector"
@@ -179,10 +196,37 @@ class RaceDetector:
         if inst is None:
             inst = cls(engine, capture=capture)
             engine.state[cls._KEY] = inst
-            engine.note_observer()
+            engine.probes.append(inst._handlers())
         elif capture and inst.capture is None:
             inst.capture = TraceCapture(engine)
         return inst
+
+    def _handlers(self) -> dict:
+        """This detector's probe table: probe kind -> public method."""
+
+        def protocol(kind: str, fields: tuple[str, ...]):
+            return lambda proc, *args: self.on_protocol(proc, kind, dict(zip(fields, args)))
+
+        table = {kind: protocol(kind, f) for kind, f in _PROTOCOL_FIELDS.items()}
+        table.update({
+            probe.STEAL_TRANSFER: lambda proc, victim, taken: self.on_protocol(
+                proc, probe.STEAL_TRANSFER, {"victim": victim, "n": len(taken)}),
+            probe.LOCK_REQUEST: self.on_mutex_request,
+            probe.LOCK_GRANT: lambda proc, mutex, contended: self.on_mutex_acquire(
+                proc, mutex),
+            probe.LOCK_RELEASE: self.on_mutex_release,
+            probe.COLLECTIVE: lambda proc, procs: self.on_collective(procs),
+            probe.POST: self.on_post,
+            probe.POLL: self.on_poll,
+            probe.PUT: self.on_put,
+            probe.RMW: self.on_rmw,
+            probe.RMW_DONE: self.on_rmw_done,
+            probe.FENCE: self.on_fence,
+            probe.ACCESS: self.record,
+            probe.FLAG_WRITE: self.flag_write,
+            probe.FLAG_READ: self.flag_read,
+        })
+        return table
 
     @classmethod
     def of(cls, engine: "Engine") -> "RaceDetector | None":

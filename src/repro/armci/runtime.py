@@ -18,9 +18,9 @@ from collections import defaultdict, deque
 from collections.abc import Callable
 from typing import Any
 
-from repro.analyze.race import RaceDetector
-from repro.obs.record import edge_recv, edge_send, span
+from repro.obs.record import span
 from repro.sim.engine import Engine, Proc, blocking_method
+from repro.sim.probe import COLLECTIVE, FENCE, POLL, POST, PUT, RMW, RMW_DONE, emit
 from repro.sim.resources import SimBarrier, SimMutex
 from repro.sim.counters import Counters
 from repro.armci.collectives import armci_barrier_cost
@@ -75,10 +75,6 @@ class Armci:
         self._collective_slot: list[Any] = []
         self._collective_parked: list[Proc] = []
 
-    def _race(self) -> RaceDetector | None:
-        """The engine's race detector, if one is attached."""
-        return self.engine.state.get(RaceDetector._KEY)
-
     @classmethod
     def attach(cls, engine: Engine) -> "Armci":
         """Return the engine's ARMCI runtime, creating it on first use."""
@@ -116,9 +112,7 @@ class Armci:
                 yield from proc.co_sync()
                 if apply_fn is not None:
                     apply_fn()
-        det = self._race()
-        if det is not None:
-            det.on_put(proc, target)
+        emit(proc, PUT, target)
 
     get = blocking_method("co_get")
 
@@ -177,9 +171,7 @@ class Armci:
             proc.advance((service + combine) - proc.now)
             self.counters.add(proc.rank, "acc_remote")
             self.counters.add(proc.rank, "bytes_acc", nbytes)
-        det = self._race()
-        if det is not None:
-            det.on_put(proc, target)
+        emit(proc, PUT, target)
 
     # ------------------------------------------------------------------ #
     # Non-blocking one-sided operations (ARMCI_NbPut / NbGet / Wait)
@@ -215,9 +207,7 @@ class Armci:
             apply_fn()
         self.counters.add(proc.rank, "put_remote")
         self.counters.add(proc.rank, "bytes_put", nbytes)
-        det = self._race()
-        if det is not None:
-            det.on_put(proc, target)
+        emit(proc, PUT, target)
         return NbHandle(proc.now + m.put_time(nbytes, nchunks))
 
     nbget = blocking_method("co_nbget")
@@ -277,7 +267,6 @@ class Armci:
         """
         m = self.engine.machine
         self.counters.add(proc.rank, "rmw")
-        det = self._race()
         if target == proc.rank:
             # local CAS: cheap, but still serializes with remote atomics
             # being serviced at this rank
@@ -286,11 +275,9 @@ class Armci:
             start = max(proc.now, self._rmw_free_at[target])
             end = start + m.local_lock_overhead
             self._rmw_free_at[target] = end
-            if det is not None:
-                det.on_rmw(proc, target)
+            emit(proc, RMW, target)
             value = fn()
-            if det is not None:
-                det.on_rmw_done(proc, target)
+            emit(proc, RMW_DONE, target)
             proc.advance(end - proc.now)
             return value
         with span(proc, "rmw", "comm", detail=f"@{target}"):
@@ -299,11 +286,9 @@ class Armci:
             service_start = max(proc.now, self._rmw_free_at[target])
             service_end = service_start + m.rmw_overhead
             self._rmw_free_at[target] = service_end
-            if det is not None:
-                det.on_rmw(proc, target)
+            emit(proc, RMW, target)
             value = fn()
-            if det is not None:
-                det.on_rmw_done(proc, target)
+            emit(proc, RMW_DONE, target)
             # response departs when serviced; initiator resumes a latency later
             proc.advance((service_end + m.latency) - proc.now)
         return value
@@ -340,13 +325,9 @@ class Armci:
         proc.advance(cost)
         yield from proc.co_sync()
         self._mailboxes[target][tag].append((proc.rank, payload))
-        # Causal edge source: the mailbox is FIFO per (target, tag), so the
-        # matching edge_recv in poll_mailbox pairs sends and receives in
-        # exactly the deposit order (metadata-only; no cost, no RNG).
-        edge_send(proc, ("mail", target, tag), detail=tag)
-        det = self._race()
-        if det is not None:
-            det.on_post(proc, target, tag)
+        # The mailbox is FIFO per (target, tag), so subscribers pair each
+        # post with the poll that consumes it in exactly deposit order.
+        emit(proc, POST, target, tag)
         self.counters.add(proc.rank, "msg_posted")
         waiter = self._mail_waiters.pop((target, tag), None)
         if waiter is not None:
@@ -360,10 +341,7 @@ class Armci:
         yield from proc.co_sync()
         q = self._mailboxes[proc.rank][tag]
         if q:
-            det = self._race()
-            if det is not None:
-                det.on_poll(proc, tag)
-            edge_recv(proc, ("mail", proc.rank, tag), "msg", detail=tag)
+            emit(proc, POLL, tag)
             return q.popleft()
         return None
 
@@ -414,9 +392,7 @@ class Armci:
         with span(proc, "fence", "comm", detail=target):
             proc.advance(self.engine.machine.latency)
             yield from proc.co_sync()
-        det = self._race()
-        if det is not None:
-            det.on_fence(proc, target)
+        emit(proc, FENCE, target)
 
     allreduce = blocking_method("co_allreduce")
 
@@ -440,9 +416,8 @@ class Armci:
         self._collective_slot = []
         release_at = proc.now + armci_barrier_cost(self.engine.machine, n)
         parked, self._collective_parked = self._collective_parked, []
-        det = self._race()
-        if det is not None:
-            det.on_collective(parked + [proc])
+        if self.engine.probes:
+            emit(proc, COLLECTIVE, parked + [proc])
         for w in parked:
             self.engine.wake(w, release_at, result)
         proc.advance(release_at - proc.now)

@@ -51,7 +51,7 @@ SUBSYSTEMS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("task", ("repro/core/task", "repro/core/capi")),
     ("steal", ("repro/core/stealing", "repro/core/scheduler")),
     ("termination", ("repro/core/termination",)),
-    ("obs-hooks", ("repro/obs/", "repro/analyze/hooks")),
+    ("obs-hooks", ("repro/obs/", "repro/sim/probe")),
     ("app-body", ("repro/apps/",)),
     ("armci", ("repro/armci/", "repro/ga/")),
     ("runtime-other", ("repro/",)),

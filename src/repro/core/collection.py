@@ -31,7 +31,7 @@ from repro.core.task import Task
 from repro.core.termination import TerminationDetector
 from repro.sim.engine import Engine, Proc, blocking_method
 from repro.sim.counters import Counters
-from repro.obs.tracing import trace
+from repro.sim.probe import TASK_ADD, emit
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["TaskCollection"]
@@ -254,8 +254,8 @@ class TaskCollection:
         t.created_by = myrank
         if affinity is not None:
             t.affinity = affinity
-        if proc.engine.observed:
-            trace(proc, "task-add", t.uid)
+        if proc.engine.probes:
+            emit(proc, TASK_ADD, t.uid)
         if dest == myrank:
             yield from shared.queues[dest].co_push_local(proc, t)
         else:

@@ -33,8 +33,8 @@ from typing import Any
 from repro.armci.runtime import Armci
 from repro.core.collection import TaskCollection
 from repro.core.task import AFFINITY_HIGH, Task
-from repro.obs.tracing import trace
 from repro.sim.engine import blocking_method
+from repro.sim.probe import TRACE, emit
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["TaskGraph"]
@@ -196,7 +196,7 @@ class TaskGraph:
         # Registered as a task callback: the scheduler drives the
         # returned generator (see ``co_run_process``).
         node = self._nodes[task.body]
-        trace(tc.proc, "graph-node", node.name)
+        emit(tc.proc, TRACE, "graph-node", node.name)
         user_task = Task(callback=self._handle, body=node.body, affinity=node.affinity)
         res = node.fn(tc, user_task)
         if type(res) is GeneratorType:

@@ -28,14 +28,16 @@ import bisect
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from repro.analyze import hooks
 from repro.armci.runtime import Armci
 from repro.core.config import SciotoConfig
 from repro.core.task import Task
-from repro.obs.record import edge_here, edge_mark, observe, span
-from repro.obs.tracing import trace
+from repro.obs.record import observe, span
 from repro.sim.engine import Engine, Proc, blocking_method
 from repro.sim.counters import Counters
+from repro.sim.probe import (
+    ACCESS, Q_ABSORB, Q_ADD_REMOTE, Q_POP, Q_PUSH, QUEUE_RELEASE, STEAL, STEAL_TRANSFER,
+    STEAL_WF, emit,
+)
 from repro.util.errors import TaskCollectionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,9 +90,9 @@ class SplitQueue:
         # metadata.  The private portion is owner-only by construction, so
         # only shared-portion touches are instrumented.
         self._race_region = ("queue", name, owner)
-        # Causal-edge source key: the most recent point at which tasks
-        # became stealable here (release / remote add / locked insert).
-        # A successful steal emits a steal edge from that point.
+        # Share key: carried by the probes at which tasks become stealable
+        # here and by a successful steal, so a subscriber can pair them
+        # (the recorder's steal edge).
         self._share_key = ("qshare", name, owner)
 
     # ------------------------------------------------------------------ #
@@ -164,9 +166,8 @@ class SplitQueue:
                 private.insert(0, task)
             else:
                 self._insert_by_affinity(private, task)
-            if engine.observed:
-                trace(proc, "q-push", (self.owner, task.uid))
-                edge_mark(proc, ("spawn", task.uid), detail=task.uid)
+            if engine.probes:
+                emit(proc, Q_PUSH, self.owner, task.uid)
             if not self._shared and len(private) >= 2:
                 yield from self._co_maybe_release(proc)
         else:
@@ -174,11 +175,9 @@ class SplitQueue:
             proc.advance(m.local_insert_overhead + m.local_copy_time(self._wire(task)))
             yield from proc.co_sync()
             self._check_capacity(1)
-            hooks.shared_write(proc, self._race_region)
+            emit(proc, ACCESS, self._race_region, "w")
             self._insert_by_affinity(self._shared, task)
-            trace(proc, "q-push", (self.owner, task.uid))
-            edge_mark(proc, ("spawn", task.uid), detail=task.uid)
-            edge_mark(proc, self._share_key)
+            emit(proc, Q_PUSH, self.owner, task.uid, self._share_key)
             yield from self.mutex.co_release(proc)
 
     pop_local = blocking_method("co_pop_local")
@@ -198,8 +197,8 @@ class SplitQueue:
             if not private:
                 return None
             task = private.pop(0)
-            if engine.observed:
-                trace(proc, "q-pop", (self.owner, task.uid))
+            if engine.probes:
+                emit(proc, Q_POP, self.owner, task.uid)
             wire = task.wire_size(self.default_body_size)
             cost = self._copy_costs.get(wire)
             if cost is None:
@@ -213,10 +212,10 @@ class SplitQueue:
         yield from self.mutex.co_acquire(proc)
         proc.advance(m.local_get_overhead)
         yield from proc.co_sync()
-        hooks.shared_update(proc, self._race_region)
+        emit(proc, ACCESS, self._race_region, "rw")
         task = self._shared.pop(0) if self._shared else None
         if task is not None:
-            trace(proc, "q-pop", (self.owner, task.uid))
+            emit(proc, Q_POP, self.owner, task.uid)
             proc.advance(m.local_copy_time(self._wire(task)))
             self._rank_counts[proc.rank]["local_pop"] += 1.0
         yield from self.mutex.co_release(proc)
@@ -240,7 +239,7 @@ class SplitQueue:
         def _move() -> None:
             # lowest-affinity private tasks (the tail) become shared; keep
             # the shared region sorted (remote adds may interleave)
-            hooks.shared_update(proc, self._race_region)
+            emit(proc, ACCESS, self._race_region, "rw")
             self._shared = self._private[-k:] + self._shared
             del self._private[-k:]
             self._shared.sort(key=lambda t: -t.affinity)
@@ -248,8 +247,7 @@ class SplitQueue:
         observe(proc, "queue_occupancy", self.size())
         with span(proc, "release", "queue", detail=k):
             yield from self._co_owner_split_update(proc, _move)
-        hooks.protocol(proc, "queue-release", n=k)
-        edge_mark(proc, self._share_key, detail=k)
+        emit(proc, QUEUE_RELEASE, k, self._share_key)
         self.counters.add(proc.rank, "release_ops")
         self.counters.add(proc.rank, "tasks_released", k)
 
@@ -261,7 +259,7 @@ class SplitQueue:
 
         def _move() -> None:
             # highest-affinity shared tasks (the front) come back to private
-            hooks.shared_update(proc, self._race_region)
+            emit(proc, ACCESS, self._race_region, "rw")
             self._private.extend(self._shared[:k])
             del self._shared[:k]
 
@@ -335,15 +333,12 @@ class SplitQueue:
         # a single one-sided get (the paper's "several tasks ... using a
         # single one-sided communication operation", §5).
         def _take() -> list[Task]:
-            hooks.shared_update(proc, self._race_region)
+            emit(proc, ACCESS, self._race_region, "rw")
             k = min(want, len(self._shared))
             taken = self._shared[len(self._shared) - k :]
             del self._shared[len(self._shared) - k :]
             if taken:
-                trace(proc, "q-steal", (self.owner, tuple(t.uid for t in taken)))
-                hooks.protocol(
-                    proc, "steal-transfer", victim=self.owner, n=len(taken)
-                )
+                emit(proc, STEAL_TRANSFER, self.owner, taken)
                 if on_transfer is not None:
                     on_transfer()
             return taken
@@ -362,8 +357,7 @@ class SplitQueue:
         proc.advance(m.remote_op_overhead)
         self.counters.add(proc.rank, "steal_success")
         self.counters.add(proc.rank, "tasks_stolen", len(tasks))
-        trace(proc, "steal", f"{len(tasks)} tasks from rank {self.owner}")
-        edge_here(proc, self._share_key, "steal", detail=len(tasks))
+        emit(proc, STEAL, self.owner, len(tasks), self._share_key)
         return tasks
 
     def _co_steal_waitfree(
@@ -380,15 +374,12 @@ class SplitQueue:
         m = self.engine.machine
 
         def _reserve() -> list[Task]:
-            hooks.shared_update(proc, self._race_region)
+            emit(proc, ACCESS, self._race_region, "rw")
             k = min(want, len(self._shared))
             taken = self._shared[len(self._shared) - k :]
             del self._shared[len(self._shared) - k :]
             if taken:
-                trace(proc, "q-steal", (self.owner, tuple(t.uid for t in taken)))
-                hooks.protocol(
-                    proc, "steal-transfer", victim=self.owner, n=len(taken)
-                )
+                emit(proc, STEAL_TRANSFER, self.owner, taken)
                 if on_transfer is not None:
                     on_transfer()
             return taken
@@ -402,8 +393,7 @@ class SplitQueue:
         proc.advance(m.remote_op_overhead)
         self.counters.add(proc.rank, "steal_success")
         self.counters.add(proc.rank, "tasks_stolen", len(tasks))
-        trace(proc, "steal-wf", f"{len(tasks)} tasks from rank {self.owner}")
-        edge_here(proc, self._share_key, "steal", detail=len(tasks))
+        emit(proc, STEAL_WF, self.owner, len(tasks), self._share_key)
         return tasks
 
     absorb_stolen = blocking_method("co_absorb_stolen")
@@ -432,15 +422,15 @@ class SplitQueue:
         if self.config.split_queues:
             region = self._private
         else:
-            hooks.shared_write(proc, self._race_region)
+            emit(proc, ACCESS, self._race_region, "w")
             region = self._shared
         region.extend(tasks)
         region.sort(key=lambda t: -t.affinity)  # stable merge; mostly sorted
-        trace(proc, "q-absorb", (self.owner, tuple(t.uid for t in tasks)))
         if self.config.split_queues:
+            emit(proc, Q_ABSORB, self.owner, tasks)
             yield from self._co_maybe_release(proc)
         else:
-            edge_mark(proc, self._share_key, detail=len(tasks))
+            emit(proc, Q_ABSORB, self.owner, tasks, self._share_key)
             yield from self.mutex.co_release(proc)
 
     add_remote = blocking_method("co_add_remote")
@@ -459,11 +449,9 @@ class SplitQueue:
 
         def _insert() -> None:
             self._check_capacity(1)
-            hooks.shared_write(proc, self._race_region)
+            emit(proc, ACCESS, self._race_region, "w")
             self._insert_by_affinity(self._shared, task)
-            trace(proc, "q-add-remote", (self.owner, task.uid))
-            edge_mark(proc, ("spawn", task.uid), detail=task.uid)
-            edge_mark(proc, self._share_key)
+            emit(proc, Q_ADD_REMOTE, self.owner, task.uid, self._share_key)
 
         if self.config.wait_free_steals:
             # reserve a slot with one atomic, then put the descriptor

@@ -15,9 +15,9 @@ from types import GeneratorType
 from repro.armci.runtime import Armci
 from repro.core.stats import ProcessStats
 from repro.core.stealing import make_victim_selector
-from repro.obs.record import Recorder, edge_here, observe, span
-from repro.obs.tracing import trace
+from repro.obs.record import Recorder, observe, span
 from repro.sim.engine import blocking
+from repro.sim.probe import TASK_EXEC, emit
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["run_process", "co_run_process"]
@@ -83,11 +83,9 @@ def co_run_process(tc):
                 # Callbacks may be plain blocking functions or
                 # coroutine-protocol generators; drive the latter here.
                 # The dispatch is written twice so an unobserved run pays
-                # nothing for the span/trace/edge wrappers.
-                if engine.observed:
-                    trace(proc, "task-exec", task.uid)
-                    edge_here(proc, ("spawn", task.uid), "spawn",
-                              detail=task.uid, clear=True)
+                # nothing for the probe and span wrappers.
+                if engine.probes:
+                    emit(proc, TASK_EXEC, task.uid)
                     with span(proc, "task", "task", detail=task.uid):
                         res = fn(tc, task)
                         if type(res) is GeneratorType:

@@ -39,12 +39,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.analyze import hooks
 from repro.armci.runtime import MAILBOX_CHECK_COST, Armci
-from repro.obs.record import Recorder, instant
-from repro.obs.tracing import trace
+from repro.obs.record import Recorder
 from repro.sim.engine import Engine, Proc, blocking_method
 from repro.sim.counters import Counters
+from repro.sim.probe import (
+    DIRTY_MARK, FLAG_READ, FLAG_WRITE, MARK_DECISION, TD_DONE, TD_SEND, VOTE,
+    WAVE_COMPLETE, WAVE_DOWN, WAVE_START, emit,
+)
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["TerminationDetector", "is_descendant", "tree_children", "tree_parent"]
@@ -101,6 +103,7 @@ class TerminationDetector:
         self.rank = rank
         self.nprocs = engine.nprocs
         self.tag = tag
+        self._flag = ("td-dirty", tag, rank)  # this rank's dirty flag region
         self.peers = peers  # shared list; peers[r] is rank r's detector
         self.optimize = optimize
         self.counters = counters
@@ -146,14 +149,7 @@ class TerminationDetector:
         # transfer with no preceding decision event from the same thief
         # means this method was bypassed — the signature of the
         # dirty-mark mutations.
-        hooks.protocol(
-            proc,
-            "mark-decision",
-            victim=victim,
-            needed=self._need_mark(victim),
-            thief_voted=self.voted,
-            wave=self.wave,
-        )
+        emit(proc, MARK_DECISION, victim, self._need_mark(victim), self.voted, self.wave)
         if not self._need_mark(victim):
             return None
         victim_det = self.peers[victim]
@@ -168,21 +164,12 @@ class TerminationDetector:
     def note_steal(self, proc: Proc, victim: int) -> None:
         """Record a successful steal's bookkeeping.  The victim's §5.3
         mark itself is applied by :meth:`steal_mark`'s closure inside the
-        transfer; this only marks the thief and records counters/edges."""
+        transfer; this only marks the thief, counts the mark and emits its
+        ``DIRTY_MARK`` probe."""
         self._mark_dirty(proc)
-        if self._need_mark(victim):
-            instant(proc, "dirty-mark", "termination", detail=victim)
-            rec = Recorder.of(self.engine)
-            if rec is not None and rec.edges_enabled:
-                # One-sided write landing in the victim's memory: a
-                # zero-latency cross-rank edge (the victim's next vote
-                # causally follows the thief's mark).
-                rec.add_edge("dirty", proc.rank, proc.now, victim, proc.now,
-                             detail=victim)
-            self.counters.add(proc.rank, "dirty_msgs")
-        else:
-            instant(proc, "dirty-mark-skipped", "termination", detail=victim)
-            self.counters.add(proc.rank, "dirty_msgs_skipped")
+        needed = self._need_mark(victim)
+        emit(proc, DIRTY_MARK, victim, needed)
+        self.counters.add(proc.rank, "dirty_msgs" if needed else "dirty_msgs_skipped")
 
     def note_remote_add(self, proc: Proc, target: int) -> None:
         """Record a remote task insertion; the dirty flag piggybacks on the
@@ -192,12 +179,7 @@ class TerminationDetector:
 
     def _mark_dirty(self, proc: Proc | None = None, release: bool = False) -> None:
         if proc is not None:
-            hooks.flag_write(
-                proc,
-                ("td-dirty", self.tag, self.rank),
-                target=self.rank,
-                release=release,
-            )
+            emit(proc, FLAG_WRITE, self._flag, self.rank, release)
         self.dirty = True
 
     # ------------------------------------------------------------------ #
@@ -258,7 +240,7 @@ class TerminationDetector:
             self.in_wave = True
             self.voted = False
             self.child_tokens = {}
-            hooks.protocol(proc, "wave-down", wave=wave)
+            emit(proc, WAVE_DOWN, wave)
             for c in self.children:
                 yield from self._co_send(proc, c, ("down", wave))
         elif kind == "up":
@@ -278,15 +260,14 @@ class TerminationDetector:
 
     def _co_send(self, proc: Proc, dest: int, payload: tuple):
         self.counters.add(proc.rank, "td_msgs")
-        trace(proc, "td-msg", f"{payload[0]} -> rank {dest}")
-        hooks.protocol(proc, "td-send", dest=dest, token=payload[0])
+        emit(proc, TD_SEND, dest, payload[0])
         yield from self.armci.co_post(proc, dest, self.tag, payload)
 
     # ------------------------------------------------------------------ #
     # Voting
     # ------------------------------------------------------------------ #
     def _combined_color(self, proc: Proc) -> int:
-        hooks.flag_read(proc, ("td-dirty", self.tag, self.rank))
+        emit(proc, FLAG_READ, self._flag)
         if self.dirty or any(c == BLACK for c in self.child_tokens.values()):
             return BLACK
         return WHITE
@@ -298,8 +279,8 @@ class TerminationDetector:
         if len(self.child_tokens) < len(self.children):
             return
         color = self._combined_color(proc)
-        hooks.protocol(proc, "vote", wave=self.wave, color=color)
-        hooks.flag_write(proc, ("td-dirty", self.tag, self.rank))
+        emit(proc, VOTE, self.wave, color)
+        emit(proc, FLAG_WRITE, self._flag)
         self.dirty = False
         self.voted = True
         self.in_wave = False
@@ -314,7 +295,7 @@ class TerminationDetector:
             self.child_tokens = {}
             self._wave_started = proc.now
             self.counters.add(proc.rank, "waves")
-            hooks.protocol(proc, "wave-start", wave=self.wave)
+            emit(proc, WAVE_START, self.wave)
             for c in self.children:
                 yield from self._co_send(proc, c, ("down", self.wave))
         if len(self.child_tokens) < len(self.children):
@@ -332,16 +313,13 @@ class TerminationDetector:
                 self._wave_started,
                 detail="white" if color == WHITE else "black",
             )
-        hooks.protocol(
-            proc, "wave-complete", wave=self.wave, color=color,
-            done=color == WHITE,
-        )
-        hooks.flag_write(proc, ("td-dirty", self.tag, self.rank))
+        emit(proc, WAVE_COMPLETE, self.wave, color, color == WHITE)
+        emit(proc, FLAG_WRITE, self._flag)
         self.dirty = False
         self.in_wave = False
         self.child_tokens = {}
         if color == WHITE:
             self.done = True
-            trace(proc, "td-done", self.wave)
+            emit(proc, TD_DONE, self.wave)
             for c in self.children:
                 yield from self._co_send(proc, c, ("done",))

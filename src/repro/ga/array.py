@@ -15,10 +15,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.analyze import hooks
 from repro.armci.runtime import Armci
 from repro.ga.distribution import BlockDistribution
 from repro.sim.engine import Engine, Proc, blocking_method
+from repro.sim.probe import ACCESS, emit
 from repro.util.errors import CommError
 
 __all__ = ["GaRuntime", "GlobalArray"]
@@ -121,7 +121,7 @@ class GlobalArray:
     def access(self, proc: Proc) -> np.ndarray:
         """Direct view of the calling rank's own patch (NGA_Access)."""
         # The view is writable, so model it as a write by the owner.
-        hooks.shared_write(proc, ("ga", self.gid, proc.rank))
+        emit(proc, ACCESS, ("ga", self.gid, proc.rank), "w")
         return self._patches[proc.rank]
 
     # ------------------------------------------------------------------ #
@@ -221,7 +221,7 @@ class GlobalArray:
 
     def co_fill(self, proc: Proc, value: float):
         """Collectively fill the array with ``value`` (GA_Fill)."""
-        hooks.shared_write(proc, ("ga", self.gid, proc.rank))
+        emit(proc, ACCESS, ("ga", self.gid, proc.rank), "w")
         self._patches[proc.rank][...] = value
         yield from self._runtime.armci.co_barrier(proc)
 
@@ -267,15 +267,15 @@ class GlobalArray:
     # coarser (gid, rank) region; they are barrier-bracketed by API
     # contract, so block-vs-patch overlap needs no conflict edge.
     def _read(self, rank: int, plo: tuple, phi: tuple) -> np.ndarray:
-        hooks.shared_read(self._runtime.engine.current, ("ga", self.gid, rank, plo))
+        emit(self._runtime.engine.current, ACCESS, ("ga", self.gid, rank, plo), "r")
         return self._patches[rank][self._local_slices(rank, plo, phi)].copy()
 
     def _write(self, rank: int, plo: tuple, phi: tuple, chunk: np.ndarray) -> None:
-        hooks.shared_write(self._runtime.engine.current, ("ga", self.gid, rank, plo))
+        emit(self._runtime.engine.current, ACCESS, ("ga", self.gid, rank, plo), "w")
         self._patches[rank][self._local_slices(rank, plo, phi)] = chunk
 
     def _accumulate(
         self, rank: int, plo: tuple, phi: tuple, chunk: np.ndarray, alpha: float
     ) -> None:
-        hooks.shared_atomic(self._runtime.engine.current, ("ga", self.gid, rank, plo))
+        emit(self._runtime.engine.current, ACCESS, ("ga", self.gid, rank, plo), "a")
         self._patches[rank][self._local_slices(rank, plo, phi)] += alpha * chunk

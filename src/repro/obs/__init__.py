@@ -83,7 +83,6 @@ from repro.obs.record import (
     InstantRecord,
     Recorder,
     SpanRecord,
-    causal_edge,
     count,
     instant,
     observe,
@@ -103,7 +102,6 @@ __all__ = [
     "count",
     "sample",
     "instant",
-    "causal_edge",
     "CounterFamily",
     "Gauge",
     "Histogram",

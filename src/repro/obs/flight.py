@@ -9,8 +9,8 @@ close, and :meth:`dump` serializes the rings atomically
 * engine failure — deadlock (``SimDeadlockError``), event-budget
   exhaustion, a predicted deadlock raised by the concurrency predictor
   (``PredictedDeadlockError``), or any exception escaping a proc: the
-  engine's ``failure_hooks`` fire before ``run()`` re-raises
-  (:meth:`repro.obs.record.Recorder.set_flight` registers the hook);
+  engine emits the ``FAILURE`` probe before ``run()`` re-raises, and the
+  recorder's subscriber dumps its ``flight`` recorder;
 * invariant failure — the model checker's post-hoc invariant sweep
   (:mod:`repro.check.runner`) dumps when a violation is found;
 * fleet worker crash — workers dump *periodically* (every
@@ -235,5 +235,5 @@ def maybe_attach_flight(
 
         rec = Recorder.attach(engine, sink=NullSink(), flight=flight)
     else:
-        rec.set_flight(flight)
+        rec.flight = flight
     return flight

@@ -2,11 +2,14 @@
 
 A :class:`Recorder` attaches to an engine exactly like the tracer and
 the race detector: ``Recorder.attach(engine)`` before ``engine.run()``,
-``Recorder.of(engine)`` afterwards.  The runtime layers call the free
-functions in this module (:func:`span`, :func:`observe`, :func:`count`,
-:func:`sample`, :func:`instant`) at their interesting points; when no
-recorder is attached each call costs a single dict probe and records
-nothing, so instrumented code stays safe on hot paths.
+``Recorder.of(engine)`` afterwards.  Intervals and metrics come through
+the free functions in this module (:func:`span`, :func:`observe`,
+:func:`count`, :func:`sample`, :func:`instant`), which the runtime calls
+at its interesting points; when no recorder is attached each call costs
+a single dict probe and records nothing.  Causal edges, the §5.3
+dirty-mark instants and the flight-recorder dump on failure come from
+the engine's probe stream (:mod:`repro.sim.probe`), to which the
+recorder subscribes.
 
 Recording is an *observer* of virtual time: hooks only ever read
 ``proc.now`` — they never advance a clock, yield to the engine, or touch
@@ -26,22 +29,21 @@ edges that turn the span stream into a happens-before DAG
 (:mod:`repro.obs.critpath`).  Each :class:`EdgeRecord` connects a
 source point ``(src_rank, src_time)`` to a destination point
 ``(dst_rank, dst_time)`` and carries a stable id (emission order,
-deterministic because the schedule is).  The runtime layers emit them
-at the four synchronization sites where one rank's progress causally
-depends on another's:
+deterministic because the schedule is).  The recorder derives them from
+the probes at the synchronization sites where one rank's progress
+causally depends on another's:
 
-* ``steal`` — a successful steal back to the victim-side release that
-  made the tasks stealable (``core/queue.py``);
-* ``msg`` — a mailbox message (termination token) from its post to the
-  poll that consumed it (``armci/runtime.py``);
-* ``lock`` — a contended mutex grant from the releaser to the woken
-  waiter (``sim/resources.py``);
-* ``spawn`` — a task's queue insertion to its execution
-  (``core/queue.py`` → ``core/scheduler.py``);
-* ``dirty`` — a §5.3 dirty mark landing in the victim's memory
-  (``core/termination.py``).
+* ``steal`` — a successful steal (``STEAL``/``STEAL_WF``) back to the
+  victim-side point that made the tasks stealable (``QUEUE_RELEASE``, a
+  locked push or absorb, or a remote add carrying the queue's share key);
+* ``msg`` — a mailbox message (termination token) from its ``POST`` to
+  the ``POLL`` that consumed it;
+* ``lock`` — a contended ``LOCK_GRANT`` from the releaser's
+  ``LOCK_RELEASE`` to the woken waiter;
+* ``spawn`` — a task's ``Q_PUSH``/``Q_ADD_REMOTE`` to its ``TASK_EXEC``;
+* ``dirty`` — a §5.3 ``DIRTY_MARK`` landing in the victim's memory.
 
-Edges are metadata-only: emission reads ``proc.now`` and appends to a
+Edges are metadata-only: a handler reads ``proc.now`` and appends to a
 list, exactly like spans, so the span stream (and the schedule) is
 bit-for-bit identical with edges on or off — ``repro.obs verify``
 checks this.
@@ -68,11 +70,6 @@ __all__ = [
     "count",
     "sample",
     "instant",
-    "causal_edge",
-    "edge_mark",
-    "edge_here",
-    "edge_send",
-    "edge_recv",
 ]
 
 _KEY = "obs"
@@ -208,10 +205,7 @@ class Recorder:
             from repro.obs.metrics import RollingWindows
 
             self.windows = RollingWindows(self.metrics, window)
-        self.flight = None
-        self._failure_hooked = False
-        if flight is not None:
-            self.set_flight(flight)
+        self.flight = flight
         # Live telemetry bus: binds to the engine's per-event tick and
         # publishes interval frames to its feed (repro-obs-live/1).
         self.live = live
@@ -251,8 +245,55 @@ class Recorder:
                 flight=flight, live=live,
             )
             engine.state[cls._KEY] = inst
-            engine.note_observer()
+            engine.probes.append(inst._handlers())
         return inst
+
+    def _handlers(self) -> dict:
+        """This recorder's probe table: dirty-mark instants, the flight
+        dump on failure and, with ``edges``, the causal edges."""
+        from repro.sim import probe  # repro.sim imports this module
+
+        table = {probe.DIRTY_MARK: self._dirty_mark, probe.FAILURE: self._on_failure}
+        if not self.edges_enabled:
+            return table
+        marks = self._edge_marks
+
+        def spawned(proc: "Proc", owner: int, uid: int, share: Any = None) -> None:
+            # mark() inlined: this runs once per queued task.
+            marks[("spawn", uid)] = (proc.rank, proc.now, uid)
+            if share is not None:
+                marks[share] = (proc.rank, proc.now, None)
+
+        def absorbed(proc: "Proc", owner: int, tasks: list, share: Any = None) -> None:
+            if share is not None:
+                self.mark(share, proc, len(tasks))
+
+        def stolen(proc: "Proc", victim: int, n: int, share: Any) -> None:
+            self.edge_from_mark(share, proc, "steal", detail=n)
+
+        def granted(proc: "Proc", mutex: Any, contended: bool) -> None:
+            # Only the waiter the releaser handed the mutex to resumes
+            # here, so the mark its LOCK_RELEASE left is the edge source.
+            if contended:
+                self.edge_from_mark(mutex, proc, "lock", detail=mutex.name, clear=True)
+
+        table.update({
+            probe.Q_PUSH: spawned,
+            probe.Q_ADD_REMOTE: spawned,
+            probe.TASK_EXEC: lambda proc, uid: self.edge_from_mark(
+                ("spawn", uid), proc, "spawn", detail=uid, clear=True),
+            probe.QUEUE_RELEASE: lambda proc, n, share: self.mark(share, proc, n),
+            probe.Q_ABSORB: absorbed,
+            probe.STEAL: stolen,
+            probe.STEAL_WF: stolen,
+            probe.LOCK_RELEASE: lambda proc, mutex: self.mark(mutex, proc),
+            probe.LOCK_GRANT: granted,
+            probe.POST: lambda proc, target, tag: self.push_pending(
+                ("mail", target, tag), proc, tag),
+            probe.POLL: lambda proc, tag: self.edge_from_pending(
+                ("mail", proc.rank, tag), proc, "msg", detail=tag),
+        })
+        return table
 
     @classmethod
     def of(cls, engine: "Engine") -> "Recorder | None":
@@ -286,17 +327,20 @@ class Recorder:
         """Total records refused by the sink (spans + instants + edges)."""
         return self.dropped_spans + self.dropped_instants + self.dropped_edges
 
-    def set_flight(self, flight: "Any") -> None:
-        """Install a flight recorder and hook it to engine failures."""
-        self.flight = flight
-        hooks = getattr(self.engine, "failure_hooks", None)
-        if flight is not None and hooks is not None and not self._failure_hooked:
-            hooks.append(self._on_failure)
-            self._failure_hooked = True
-
-    def _on_failure(self, exc: BaseException) -> None:
+    def _on_failure(self, proc: None, exc: BaseException) -> None:
         if self.flight is not None:
             self.flight.dump(type(exc).__name__, error=str(exc))
+
+    def _dirty_mark(self, proc: "Proc", victim: int, needed: bool) -> None:
+        if not needed:
+            self.instant_event(proc, "dirty-mark-skipped", "termination", victim)
+            return
+        self.instant_event(proc, "dirty-mark", "termination", victim)
+        if self.edges_enabled:
+            # One-sided write landing in the victim's memory: a
+            # zero-latency cross-rank edge (the victim's next vote
+            # causally follows the thief's mark).
+            self.add_edge("dirty", proc.rank, proc.now, victim, proc.now, victim)
 
     def finish(self) -> None:
         """Finalize the recording (idempotent): close the last metrics
@@ -551,51 +595,3 @@ def instant(proc: "Proc", name: str, category: str = "runtime", detail: Any = No
     rec = proc.engine.state.get(_KEY)
     if rec is not None:
         rec.instant_event(proc, name, category, detail)
-
-
-def _edge_recorder(proc: "Proc") -> "Recorder | None":
-    rec = proc.engine.state.get(_KEY)
-    return rec if rec is not None and rec.edges_enabled else None
-
-
-def causal_edge(
-    proc: "Proc",
-    kind: str,
-    src_rank: int,
-    src_time: float,
-    detail: Any = None,
-) -> None:
-    """Record an edge from ``(src_rank, src_time)`` to here (no-op when off)."""
-    rec = _edge_recorder(proc)
-    if rec is not None:
-        rec.add_edge(kind, src_rank, src_time, proc.rank, proc.now, detail)
-
-
-def edge_mark(proc: "Proc", key: Any, detail: Any = None) -> None:
-    """Remember this point as the edge source for ``key`` (no-op when off)."""
-    rec = _edge_recorder(proc)
-    if rec is not None:
-        rec.mark(key, proc, detail)
-
-
-def edge_here(
-    proc: "Proc", key: Any, kind: str, detail: Any = None, clear: bool = False
-) -> None:
-    """Emit an edge from ``key``'s remembered source to here (no-op when off)."""
-    rec = _edge_recorder(proc)
-    if rec is not None:
-        rec.edge_from_mark(key, proc, kind, detail=detail, clear=clear)
-
-
-def edge_send(proc: "Proc", key: Any, detail: Any = None) -> None:
-    """FIFO-enqueue this point as a pending edge source (no-op when off)."""
-    rec = _edge_recorder(proc)
-    if rec is not None:
-        rec.push_pending(key, proc, detail)
-
-
-def edge_recv(proc: "Proc", key: Any, kind: str, detail: Any = None) -> None:
-    """Emit an edge from the oldest pending source for ``key`` to here."""
-    rec = _edge_recorder(proc)
-    if rec is not None:
-        rec.edge_from_pending(key, proc, kind, detail=detail)

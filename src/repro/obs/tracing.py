@@ -1,10 +1,13 @@
 """Optional structured event tracing for simulations.
 
 Attach a :class:`Tracer` to an engine to record timestamped events from
-any layer (queue operations, steals, termination tokens, GA transfers),
-then render a per-rank timeline or export the raw records.  Tracing is
-off unless attached, costs nothing when off, and does not perturb
-virtual time — it is an observer, not a participant.
+any layer (queue operations, steals, termination tokens, lock grants),
+then render a per-rank timeline or export the raw records.  The tracer
+is a subscriber of the engine's probe stream (:mod:`repro.sim.probe`):
+it maps the task, steal, lock and termination-token probes to
+:class:`TraceEvent` records and ignores the rest.  Tracing is off unless
+attached, costs nothing when off, and does not perturb virtual time —
+it is an observer, not a participant.
 
 This module historically lived at ``repro.sim.tracing``; it moved
 into the unified observability package so spans, metrics, and events
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
+
+from repro.sim import probe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine, Proc
@@ -60,8 +65,40 @@ class Tracer:
         if inst is None:
             inst = cls(engine, capacity)
             engine.state[cls._KEY] = inst
-            engine.note_observer()
+            engine.probes.append(inst._handlers())
         return inst
+
+    def _handlers(self) -> dict:
+        """This tracer's probe table: probe kind -> record writer."""
+        rec = self.record
+
+        def uids(tasks) -> tuple:
+            return tuple(t.uid for t in tasks)
+
+        return {
+            probe.TASK_ADD: lambda proc, uid: rec(proc, "task-add", uid),
+            probe.Q_PUSH: lambda proc, owner, uid, share=None: rec(
+                proc, "q-push", (owner, uid)),
+            probe.Q_POP: lambda proc, owner, uid: rec(proc, "q-pop", (owner, uid)),
+            probe.TASK_EXEC: lambda proc, uid: rec(proc, "task-exec", uid),
+            probe.Q_ABSORB: lambda proc, owner, tasks, share=None: rec(
+                proc, "q-absorb", (owner, uids(tasks))),
+            probe.Q_ADD_REMOTE: lambda proc, owner, uid, share: rec(
+                proc, "q-add-remote", (owner, uid)),
+            probe.STEAL_TRANSFER: lambda proc, victim, taken: rec(
+                proc, "q-steal", (victim, uids(taken))),
+            probe.STEAL: lambda proc, victim, n, share: rec(
+                proc, "steal", f"{n} tasks from rank {victim}"),
+            probe.STEAL_WF: lambda proc, victim, n, share: rec(
+                proc, "steal-wf", f"{n} tasks from rank {victim}"),
+            probe.LOCK_GRANT: lambda proc, mutex, contended: rec(
+                proc, "mutex-acq", mutex.name),
+            probe.LOCK_RELEASE: lambda proc, mutex: rec(proc, "mutex-rel", mutex.name),
+            probe.TD_SEND: lambda proc, dest, token: rec(
+                proc, "td-msg", f"{token} -> rank {dest}"),
+            probe.TD_DONE: lambda proc, wave: rec(proc, "td-done", wave),
+            probe.TRACE: rec,
+        }
 
     @classmethod
     def of(cls, engine: "Engine") -> "Tracer | None":
@@ -111,11 +148,8 @@ class Tracer:
 
 
 def trace(proc: "Proc", kind: str, detail: Any = None) -> None:
-    """Record an event if the engine has a tracer attached (else no-op).
+    """Emit a user-defined event as a ``TRACE`` probe (no-op unobserved).
 
-    This is the hook the runtime layers call; keep it on hot paths only
-    where an event is semantically meaningful (steals, tokens, transfers).
+    An attached :class:`Tracer` records it as ``kind`` with ``detail``.
     """
-    tracer = proc.engine.state.get(Tracer._KEY)
-    if tracer is not None:
-        tracer.record(proc, kind, detail)
+    probe.emit(proc, probe.TRACE, kind, detail)

@@ -86,6 +86,7 @@ from typing import Any
 import numpy as np
 
 from repro.sim.machines import MachineSpec, uniform_cluster
+from repro.sim.probe import FAILURE
 from repro.util.errors import SimDeadlockError, SimLimitError, SimShutdown
 
 __all__ = [
@@ -523,21 +524,21 @@ class Engine:
         self._explores = False
         self._elide = True
         self._limits = max_events is not None or max_time is not None
-        # True once any observer (tracer, recorder, race detector) has
-        # attached — see :meth:`note_observer`.  Hot paths gate their
-        # observability hook calls on this flag so an unobserved run
-        # pays one attribute read per site instead of a function call
-        # plus a dict probe.
-        self.observed = False
+        # Probe subscribers (repro.sim.probe): one handler table per
+        # observer, mapping a probe kind to ``fn(proc, *args)``.  Empty
+        # when nothing observes the run; hot sites test it before
+        # emitting, and the failure probe reaches it before run()
+        # re-raises.
+        self.probes: list[dict[str, Callable[..., None]]] = []
         # Global shared-state namespace used by comm layers (keyed by layer).
         self.state: dict[str, Any] = {}
-        # Called with the failure just before run() re-raises it —
-        # observers (e.g. the obs flight recorder) dump state here.
-        self.failure_hooks: list[Callable[[BaseException], None]] = []
         # Per-event telemetry tick: called with the event's virtual time
         # from both accounting sites (_pick and the co_sync elision
         # path).  None when no live telemetry bus is attached, so an
-        # unobserved run pays one attribute read per event.
+        # unobserved run pays one attribute read per event.  Kept apart
+        # from ``probes``: it fires on every event and has one consumer
+        # (the live TelemetryBus), so fanning it out to every subscriber
+        # would add a call per event to each observed run.
         self._tick: Callable[[float], None] | None = None
         self._mains: list[tuple[Callable[..., Any], tuple[Any, ...]] | None] = [None] * nprocs
 
@@ -554,17 +555,6 @@ class Engine:
         """Assign the same main function to every rank (SPMD style)."""
         for r in range(self.nprocs):
             self.spawn(r, fn, *args)
-
-    def note_observer(self) -> None:
-        """Record that an observer attached (tracer, recorder, detector).
-
-        Flips :attr:`observed`, the flag hot paths consult before calling
-        the observability hooks.  The hooks still probe their own
-        ``state`` key, so setting this spuriously costs time, never
-        correctness — and it is never cleared: a detached observer just
-        returns the hot paths to calling no-op hooks.
-        """
-        self.observed = True
 
     # ------------------------------------------------------------------ #
     # Scheduling internals
@@ -848,11 +838,13 @@ class Engine:
                         break
                 dst = pick()
             if self._failure is not None:
-                for hook in self.failure_hooks:
-                    try:
-                        hook(self._failure)
-                    except Exception:  # noqa: BLE001 - a dump must never mask the failure
-                        pass
+                for handlers in self.probes:
+                    on_failure = handlers.get(FAILURE)
+                    if on_failure is not None:
+                        try:
+                            on_failure(None, self._failure)
+                        except Exception:  # noqa: BLE001 - a dump must never mask the failure
+                            pass
                 raise self._failure
         finally:
             self._teardown()

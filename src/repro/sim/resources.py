@@ -13,10 +13,9 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.analyze.race import RaceDetector
-from repro.obs.record import Recorder, causal_edge
-from repro.obs.tracing import trace
+from repro.obs.record import Recorder
 from repro.sim.engine import blocking_method
+from repro.sim.probe import COLLECTIVE, LOCK_GRANT, LOCK_RELEASE, LOCK_REQUEST, emit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine, Proc
@@ -42,7 +41,6 @@ class SimMutex:
         self.acquires = 0
         self.contended_acquires = 0
         self._acquired_at = 0.0  # holder's virtual acquire time (obs only)
-        self._grant_src: tuple[int, float] | None = None  # releaser point (obs only)
 
     def _request_cost(self, proc: Proc) -> float:
         m = self.engine.machine
@@ -60,13 +58,12 @@ class SimMutex:
         t_req = proc.now
         proc.advance(self._request_cost(proc))
         yield from proc.co_sync()
-        det = RaceDetector.of(self.engine)
-        if det is not None:
-            # Pre-grant request: no yield happens between here and the
-            # holder check below, so the capture's wait-for graph sees
-            # exactly the park this call is about to commit to.
-            det.on_mutex_request(proc, self)
-        if self.holder is None:
+        # Pre-grant request: no yield happens between here and the
+        # holder check below, so a wait-for graph built from the probe
+        # sees exactly the park this call is about to commit to.
+        emit(proc, LOCK_REQUEST, self)
+        contended = self.holder is not None
+        if not contended:
             self.holder = proc
         else:
             self.contended_acquires += 1
@@ -77,15 +74,7 @@ class SimMutex:
                 rec.complete_span(
                     proc, f"lock-wait {self.name}", "lock", t_req, detail=self.name
                 )
-            # Only the proc the releaser just granted to runs here, so the
-            # grant source written in release() is ours to consume.
-            if self._grant_src is not None:
-                causal_edge(proc, "lock", *self._grant_src, detail=self.name)
-                self._grant_src = None
-        det = RaceDetector.of(self.engine)
-        if det is not None:
-            det.on_mutex_acquire(proc, self)
-        trace(proc, "mutex-acq", self.name)
+        emit(proc, LOCK_GRANT, self, contended)
         self.acquires += 1
         if rec is not None:
             rec.metrics.observe("lock_wait", proc.now - t_req, rank=proc.rank)
@@ -99,17 +88,13 @@ class SimMutex:
             raise RuntimeError(f"rank {proc.rank} released {self.name} it does not hold")
         proc.advance(self._release_cost(proc))
         yield from proc.co_sync()
-        det = RaceDetector.of(self.engine)
-        if det is not None:
-            det.on_mutex_release(proc, self)
-        trace(proc, "mutex-rel", self.name)
+        emit(proc, LOCK_RELEASE, self)
         rec = Recorder.of(self.engine)
         if rec is not None:
             rec.metrics.observe("lock_hold", proc.now - self._acquired_at, rank=proc.rank)
         if self._waiters:
             nxt = self._waiters.popleft()
             self.holder = nxt
-            self._grant_src = (proc.rank, proc.now)
             grant_latency = (
                 self.engine.machine.local_lock_overhead
                 if nxt.rank == self.host_rank
@@ -159,9 +144,8 @@ class SimBarrier:
         release_at = proc.now + self.cost_fn(self.nprocs)
         waiters, self._arrived = self._arrived[:-1], []
         self._generation += 1
-        det = RaceDetector.of(self.engine)
-        if det is not None:
-            det.on_collective(waiters + [proc])
+        if self.engine.probes:
+            emit(proc, COLLECTIVE, waiters + [proc])
         for w in waiters:
             self.engine.wake(w, release_at)
         proc.advance(release_at - proc.now)

@@ -292,6 +292,28 @@ class TestRPR005UnfencedFlagPut:
         """
         assert _ids(_lint(code, "RPR005")) == ["RPR005"]
 
+    def test_quiet_on_dirty_mark_probe_in_callback(self):
+        # A probe emission announces the mark to observers; it stores
+        # no protocol state, whatever its kind.
+        code = """
+        def steal(self, proc, victim, tasks):
+            def _take():
+                self.peers[victim].extend(tasks)
+                probe.emit(proc, probe.DIRTY_MARK, victim, True)
+            self.armci.put(proc, victim, 64, _take)
+        """
+        assert _lint(code, "RPR005") == []
+
+    def test_dirty_mark_probe_does_not_mask_real_flag_store(self):
+        code = """
+        def steal(self, proc, victim, tasks):
+            def _take():
+                emit(proc, DIRTY_MARK, victim, True)
+                self.peers[victim].dirty = True
+            self.armci.put(proc, victim, 64, _take)
+        """
+        assert _ids(_lint(code, "RPR005")) == ["RPR005"]
+
 
 class TestRPR006LockOrder:
     def test_flags_locks_nested_in_both_orders(self):
