@@ -43,6 +43,7 @@ __all__ = [
     "PERF_SCENARIOS",
     "QUICK_SCENARIOS",
     "MICRO_BENCHMARKS",
+    "PROFILE_MIN_SAMPLES",
     "measure_scenario",
     "measure_micro_switch",
     "run_micro",
@@ -75,6 +76,12 @@ QUICK_SCENARIOS = ("queue", "steals", "uts-tiny")
 
 #: Microbenchmarks selectable with ``--micro``.
 MICRO_BENCHMARKS = ("switch",)
+
+#: Fewest samples a persisted ``notes.profile`` table may rest on.
+#: ``perf --only uts-small --reps 1 --profile`` collects 276-393 samples
+#: (median 325, ten runs on a 2-CPU x86-64 Linux host, CPython 3.11.7);
+#: a GIL-starved sampler collected 31-52, too few for stable shares.
+PROFILE_MIN_SAMPLES = 100
 
 
 def measure_scenario(
@@ -248,15 +255,20 @@ def write_wall_json(
     not part of the sweep.  A ``notes`` section is preserved the same
     way; per-entry self-profiler tables (``--profile``) are lifted out
     of the entries into ``notes.profile`` keyed by scenario, so the
-    entry schema stays purely measurements.
+    entry schema stays purely measurements.  An existing ``path`` that
+    cannot be read as JSON raises ``ValueError`` rather than being
+    overwritten along with its baselines and notes.
     """
     path = Path(path)
     existing: dict[str, Any] = {}
     if path.exists():
         try:
             existing = json.loads(path.read_text())
-        except (OSError, ValueError):
-            existing = {}
+        except (OSError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: existing record is unreadable ({exc}); refusing to "
+                f"overwrite its baselines and notes"
+            ) from None
     if baselines is None:
         baselines = existing.get("baselines")
     if notes is None:
@@ -289,10 +301,11 @@ def write_wall_json(
 def validate_wall_json(doc: dict) -> None:
     """Raise ``ValueError`` unless ``doc`` is a valid wall-clock record.
 
-    Checked: the schema tag, and for every entry (and baseline) a
+    Checked: the schema tag, for every entry (and baseline) a
     scenario name, a positive event count, and a positive throughput —
     zero throughput means the measurement is broken, so it fails
-    validation rather than being recorded.
+    validation rather than being recorded — and for every
+    ``notes.profile`` table at least :data:`PROFILE_MIN_SAMPLES` samples.
     """
     if doc.get("schema") != WALL_SCHEMA:
         raise ValueError(f"bad schema tag {doc.get('schema')!r}; want {WALL_SCHEMA!r}")
@@ -311,6 +324,13 @@ def validate_wall_json(doc: dict) -> None:
         wall = e.get("best_wall_s")
         if not isinstance(wall, (int, float)) or wall <= 0:
             raise ValueError(f"{where}: bad best_wall_s {wall!r}")
+    for scenario, table in ((doc.get("notes") or {}).get("profile") or {}).items():
+        samples = table.get("samples")
+        if not isinstance(samples, int) or samples < PROFILE_MIN_SAMPLES:
+            raise ValueError(
+                f"notes.profile[{scenario!r}]: {samples!r} samples, below "
+                f"the floor of {PROFILE_MIN_SAMPLES}"
+            )
 
 
 def main(argv: list[str] | None = None) -> int:

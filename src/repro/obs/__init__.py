@@ -13,8 +13,9 @@ simulated runtime:
   schedule.
 * **Metrics** (:mod:`repro.obs.metrics`): counters (the long-standing
   ``Counters`` map is now a facade over :class:`CounterFamily`),
-  gauges, and fixed-bucket histograms (steal latency, stolen chunk
-  size, queue occupancy, wave round-trip, lock hold/wait).
+  gauges, and histograms (steal latency, stolen chunk size, queue
+  occupancy, wave round-trip, lock hold/wait) whose percentiles all
+  come from one mergeable quantile sketch.
 * **Events** (:mod:`repro.obs.tracing`): the structured event tracer,
   re-homed here from ``repro.sim.tracing`` (old path removed).
 * **Exporters** (:mod:`repro.obs.export`): Chrome ``trace_event`` JSON

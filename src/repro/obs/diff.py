@@ -3,18 +3,19 @@
 The repo commits reference trajectories — ``BENCH_sim.json`` (virtual
 time, schema ``repro-bench/1``), ``BENCH_wall.json`` (wall clock,
 ``repro-bench-wall/1``) — and ``repro.obs run`` writes metrics documents
-(``repro-obs-metrics/1`` or ``/2``).  ``python -m repro.obs diff OLD
-NEW`` loads two documents of the same schema, matches their series by
-stable keys, and reports every relative change beyond a threshold:
+(``repro-obs-metrics/3``; older metrics schemas are rejected).
+``python -m repro.obs diff OLD NEW`` loads two documents of the same
+schema, matches their series by stable keys, and reports every relative
+change beyond a threshold:
 
 * ``repro-bench/1`` — series matched by ``(experiment, label)``; the
   worst pointwise relative delta decides.  Direction comes from the
   unit/label: times (``us``, ``s``, ``seconds``) regress upward,
   rates (``speedup``, ``throughput``, ``tasks/s``) regress downward,
   anything else is direction-neutral and only *warns* on change.
-* ``repro-obs-metrics/1|2`` — counter totals and histogram count are
+* ``repro-obs-metrics/3`` — counter totals and histogram count are
   determinism signals (any change warns); histogram mean/p95 and
-  gauge min/max regress upward beyond the threshold.  A schema /2
+  gauge min/max regress upward beyond the threshold.  A
   ``windows`` series additionally diffs each metric's *worst window*
   (maximum windowed p95/p99 across the run), with direction inferred
   from the metric name's unit — latency-style metrics regress upward,
@@ -194,8 +195,7 @@ def _diff_metrics(report: DiffReport, old: dict, new: dict) -> None:
             continue
         _compare(report, f"histogram/{k}", "count", o.get("count"), n.get("count"))
         _compare(report, f"histogram/{k}", "mean", o.get("mean"), n.get("mean"), "down")
-        _compare(report, f"histogram/{k}", "p95",
-                 _hist_quantile(o, 0.95), _hist_quantile(n, 0.95), "down")
+        _compare(report, f"histogram/{k}", "p95", o.get("p95"), n.get("p95"), "down")
     ogauge = old.get("gauges", {})
     ngauge = new.get("gauges", {})
     for k in sorted(ogauge.keys() | ngauge.keys()):
@@ -217,7 +217,7 @@ def _metric_direction(name: str) -> str:
 
 
 def _diff_windows(report: DiffReport, old: dict, new: dict) -> None:
-    """Compare two rolling-window series (schema /2 ``windows`` key).
+    """Compare two rolling-window series (the ``windows`` key).
 
     Window boundaries are virtual-time-deterministic, but two documents
     may legitimately differ in which windows are non-empty, so series
@@ -261,24 +261,6 @@ def _diff_windows(report: DiffReport, old: dict, new: dict) -> None:
         _compare(report, key, "count", o["count"], n["count"])
         _compare(report, key, "worst p95", o["p95"], n["p95"], direction)
         _compare(report, key, "worst p99", o["p99"], n["p99"], direction)
-
-
-def _hist_quantile(h: dict, q: float) -> float | None:
-    """Quantile of a serialized histogram; prefers a stored percentile."""
-    stored = h.get(f"p{int(q * 100)}")
-    if stored is not None:
-        return stored
-    count = h.get("count", 0)
-    if not count:
-        return None
-    edges, counts = h.get("edges", []), h.get("counts", [])
-    target = q * count
-    seen = 0
-    for i, c in enumerate(counts):
-        seen += c
-        if seen >= target and c:
-            return edges[i] if i < len(edges) else h.get("max")
-    return h.get("max")
 
 
 def _diff_wall(report: DiffReport, old: dict, new: dict) -> None:
@@ -331,8 +313,7 @@ def _diff_fleet(report: DiffReport, old: dict, new: dict) -> None:
 
 _WALKERS = {
     "repro-bench/1": _diff_bench,
-    "repro-obs-metrics/1": _diff_metrics,
-    "repro-obs-metrics/2": _diff_metrics,
+    "repro-obs-metrics/3": _diff_metrics,
     "repro-bench-wall/1": _diff_wall,
     "repro-bench-fleet/1": _diff_fleet,
 }
@@ -341,17 +322,17 @@ _WALKERS = {
 def diff_documents(
     old: dict, new: dict, threshold: float = DEFAULT_THRESHOLD
 ) -> DiffReport:
-    """Diff two parsed documents; their schemas must be compatible."""
+    """Diff two parsed documents; both must carry the same known schema."""
     oschema, nschema = old.get("schema"), new.get("schema")
-    walker = _WALKERS.get(nschema or "")
-    if walker is None:
-        raise ValueError(
-            f"unsupported schema {nschema!r}; known: {sorted(_WALKERS)}"
-        )
-    if _WALKERS.get(oschema or "") is not walker:
+    for schema in (oschema, nschema):
+        if schema not in _WALKERS:
+            raise ValueError(
+                f"unsupported schema {schema!r}; known: {sorted(_WALKERS)}"
+            )
+    if oschema != nschema:
         raise ValueError(f"schema mismatch: old={oschema!r} new={nschema!r}")
     report = DiffReport(schema=nschema, threshold=threshold)
-    walker(report, old, new)
+    _WALKERS[nschema](report, old, new)
     return report
 
 

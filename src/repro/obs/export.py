@@ -41,6 +41,7 @@ __all__ = [
     "write_chrome_trace",
     "metrics_dict",
     "write_metrics_json",
+    "validate_metrics_json",
     "ascii_timeline",
     "summary_table",
     "self_times",
@@ -52,15 +53,14 @@ __all__ = [
     "FLOW_KINDS",
 ]
 
-#: Schema tag stamped into every metrics JSON document.  ``/2`` added
-#: p50/p95/p99 to each histogram; readers accept both (see
-#: :func:`repro.obs.analyze.load_metrics_json`).  Each ``/2`` histogram
-#: also carries a ``sketch`` key — the serialized
-#: :class:`~repro.obs.metrics.QuantileSketch` — so documents from
-#: different runs/workers merge into exact percentile estimates
-#: (:meth:`~repro.obs.metrics.MetricsRegistry.merge_dict`); readers
-#: that predate the key ignore it.
-METRICS_SCHEMA = "repro-obs-metrics/2"
+#: Schema tag stamped into every metrics JSON document, and the only
+#: one read back (:func:`repro.obs.analyze.load_metrics_json`).  Each
+#: histogram carries count/sum/mean/min/max, per-rank count/sum, its
+#: serialized :class:`~repro.obs.metrics.QuantileSketch` under
+#: ``sketch``, and p50/p95/p99 computed from that sketch.  Sketches merge
+#: exactly (:meth:`~repro.obs.metrics.MetricsRegistry.merge_dict`), so
+#: documents from different runs or workers aggregate without loss.
+METRICS_SCHEMA = "repro-obs-metrics/3"
 
 #: Causal-edge kinds exported as Perfetto flow arrows by default.
 FLOW_KINDS: tuple[str, ...] = ("steal", "msg", "lock", "dirty")
@@ -329,16 +329,41 @@ def metrics_dict(
     return doc
 
 
+def validate_metrics_json(doc: dict) -> None:
+    """Raise ``ValueError`` unless ``doc`` is a valid metrics document.
+
+    Checked: the schema tag is :data:`METRICS_SCHEMA`, and every
+    histogram carries a sketch holding exactly its ``count``
+    observations — its percentiles come from that sketch, so a missing
+    or partial one would report a tail over the wrong population.
+    """
+    schema = doc.get("schema")
+    if schema != METRICS_SCHEMA:
+        raise ValueError(
+            f"unsupported metrics schema {schema!r}; only {METRICS_SCHEMA!r} "
+            f"is accepted"
+        )
+    for name, h in doc.get("histograms", {}).items():
+        sketch = h.get("sketch")
+        if sketch is None:
+            raise ValueError(f"histogram {name!r} has no sketch")
+        if sketch.get("count") != h.get("count"):
+            raise ValueError(
+                f"histogram {name!r}: sketch holds {sketch.get('count')!r} "
+                f"observations, histogram count is {h.get('count')!r}"
+            )
+
+
 def write_metrics_json(
     recorder: Recorder,
     path: str | Path,
     process_stats: list[dict] | None = None,
 ) -> Path:
-    """Write the metrics JSON to ``path`` (atomically) and return it."""
+    """Validate, then write the metrics JSON to ``path`` (atomically)."""
     path = Path(path)
-    atomic_write_text(
-        path, json.dumps(metrics_dict(recorder, process_stats), indent=2)
-    )
+    doc = metrics_dict(recorder, process_stats)
+    validate_metrics_json(doc)
+    atomic_write_text(path, json.dumps(doc, indent=2))
     return path
 
 

@@ -39,7 +39,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import QuantileSketch
+from repro.obs.metrics import histogram_deltas
 from repro.util.io import append_text_line, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -147,25 +147,9 @@ class TelemetryBus:
         events = self._engine.events
         d_events = events - self._events_prev
         registry = self.recorder.metrics
-        histograms: dict[str, dict] = {}
-        for name in sorted(registry.histograms):
-            h = registry.histograms[name]
-            prev = self._snap.get(name)
-            prev_sketch, prev_count, prev_sum = (
-                prev if prev is not None else (({}, 0, 0), 0, 0.0)
-            )
-            dcount = h.count - prev_count
-            if dcount:
-                dsketch = h.sketch.delta(prev_sketch)
-                dsum = h.sum - prev_sum
-                histograms[name] = {
-                    "count": dcount,
-                    "mean": dsum / dcount,
-                    "p50": dsketch.quantile(0.50),
-                    "p95": dsketch.quantile(0.95),
-                    "p99": dsketch.quantile(0.99),
-                }
-            self._snap[name] = (h.sketch.snapshot(), h.count, h.sum)
+        histograms = histogram_deltas(registry, self._snap)
+        for h in histograms.values():
+            del h["sum"]  # frames carry count, mean and percentiles only
         if d_events or histograms:
             span = t1 - self._t0
             gauges = {}

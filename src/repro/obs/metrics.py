@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, and fixed-bucket histograms.
+"""Metrics primitives: counters, gauges, and sketch-backed histograms.
 
 This module is the storage layer of the observability subsystem.  It
 deliberately imports nothing from the runtime layers (``repro.sim``,
@@ -12,18 +12,19 @@ Three metric kinds cover the paper's evaluation needs (§6):
   is now a thin compatibility facade over this class.
 * :class:`Gauge` — a per-rank last-value sample (queue occupancy and
   the like), with min/max/sample-count retained.
-* :class:`Histogram` — fixed bucket edges chosen per metric name
-  (:data:`DEFAULT_BUCKETS`), with an overflow bucket, plus per-rank
-  count/sum so summaries can localize skew.
+* :class:`Histogram` — count/sum/min/max plus per-rank count/sum, with
+  the distribution itself held in a :class:`QuantileSketch`.
 
-Bucket convention: a value ``v`` lands in the first bucket ``i`` with
-``v <= edges[i]``; values above ``edges[-1]`` land in the overflow
-bucket (index ``len(edges)``).
+There is one percentile mechanism: every p50/p95/p99 the package
+reports — whole-run (:meth:`Histogram.to_dict`), per window
+(:class:`RollingWindows`) and per live frame
+(:class:`repro.obs.live.TelemetryBus`) — is
+:meth:`QuantileSketch.quantile`, within relative error ``alpha`` of a
+sample value.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import defaultdict
 
@@ -34,11 +35,7 @@ __all__ = [
     "MetricsRegistry",
     "QuantileSketch",
     "RollingWindows",
-    "DEFAULT_BUCKETS",
-    "TIME_BUCKETS",
-    "COUNT_BUCKETS",
-    "HOST_TIME_BUCKETS",
-    "WIDE_COUNT_BUCKETS",
+    "histogram_deltas",
 ]
 
 
@@ -93,8 +90,8 @@ class QuantileSketch:
     def quantile(self, q: float) -> float:
         """Quantile estimate within relative error ``alpha``.
 
-        Uses the same rank rule as :func:`_bucket_quantile`: the first
-        bucket whose cumulative count reaches ``q * count``.
+        Rank rule: the first bucket (the zero bucket, then keys in
+        ascending order) whose cumulative count reaches ``q * count``.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
@@ -236,24 +233,16 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket histogram with an overflow bucket.
+    """A distribution: count/sum/min/max plus a quantile sketch.
 
-    ``counts[i]`` counts observations ``v`` with
-    ``edges[i-1] < v <= edges[i]`` (``counts[len(edges)]`` is the
-    overflow bucket).  Per-rank count/sum are kept alongside the global
-    distribution so summaries can show which ranks dominate.
-
-    Every observation also feeds a :class:`QuantileSketch`, so readers
-    that need relative-error-bounded percentiles (rolling windows, the
-    live telemetry bus) are not limited to bucket-edge resolution.
+    The :class:`QuantileSketch` holds the distribution, so percentiles
+    carry its relative-error bound and merge and subtract exactly.
+    Per-rank count/sum are kept alongside so summaries can show which
+    ranks dominate.
     """
 
-    def __init__(self, name: str, edges: tuple[float, ...]) -> None:
-        if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError(f"histogram edges must be strictly increasing, got {edges!r}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.edges = tuple(float(e) for e in edges)
-        self.counts = [0] * (len(self.edges) + 1)
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
@@ -264,7 +253,6 @@ class Histogram:
 
     def observe(self, value: float, rank: int | None = None) -> None:
         """Record one observation (optionally attributed to ``rank``)."""
-        self.counts[bisect.bisect_left(self.edges, value)] += 1
         self.count += 1
         self.sum += value
         self.min = min(self.min, value)
@@ -279,34 +267,16 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper edge of the bucket holding it.
-
-        Overflow observations report the observed maximum.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target and c:
-                return self.edges[i] if i < len(self.edges) else self.max
-        return self.max
+        """The sketch's quantile estimate (:meth:`QuantileSketch.quantile`)."""
+        return self.sketch.quantile(q)
 
     def to_dict(self) -> dict:
         return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
             "count": self.count,
             "sum": self.sum,
             "mean": self.mean,
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
-            # Bucket-resolution percentiles (schema repro-obs-metrics/2);
-            # readers fall back to recomputing from edges/counts when
-            # loading a /1 document.
             "p50": self.quantile(0.50) if self.count else None,
             "p95": self.quantile(0.95) if self.count else None,
             "p99": self.quantile(0.99) if self.count else None,
@@ -318,49 +288,11 @@ class Histogram:
         }
 
 
-def _log_buckets(lo: float, hi: float, per_decade: int = 3) -> tuple[float, ...]:
-    """Log-spaced bucket edges from ``lo`` to ``hi`` inclusive."""
-    n = int(round(math.log10(hi / lo) * per_decade))
-    return tuple(lo * (hi / lo) ** (i / n) for i in range(n + 1))
-
-
-#: Latency-style default edges: 50ns .. 100ms, 3 buckets per decade.
-TIME_BUCKETS: tuple[float, ...] = _log_buckets(50e-9, 100e-3, per_decade=3)
-
-#: Small-integer default edges (chunk sizes, queue occupancy).
-COUNT_BUCKETS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-#: Host-side latency edges: 1ms .. 100s — fleet job walls, not
-#: simulated-protocol latencies (those use TIME_BUCKETS).
-HOST_TIME_BUCKETS: tuple[float, ...] = _log_buckets(1e-3, 100.0, per_decade=3)
-
-#: Wide integer edges (per-schedule event counts): 1 .. 1M.
-WIDE_COUNT_BUCKETS: tuple[float, ...] = _log_buckets(1.0, 1e6, per_decade=1)
-
-#: Per-metric bucket edges; unnamed metrics fall back to TIME_BUCKETS.
-DEFAULT_BUCKETS: dict[str, tuple[float, ...]] = {
-    "steal_latency": TIME_BUCKETS,
-    "steal_fail_latency": TIME_BUCKETS,
-    "steal_chunk": COUNT_BUCKETS,
-    "queue_occupancy": COUNT_BUCKETS,
-    "wave_rtt": TIME_BUCKETS,
-    "lock_wait": TIME_BUCKETS,
-    "lock_hold": TIME_BUCKETS,
-    "task_time": TIME_BUCKETS,
-    "idle_wait": TIME_BUCKETS,
-    # Fleet (host-level) metrics — see repro.fleet.scheduler.
-    "job_wall": HOST_TIME_BUCKETS,
-    "steal_chunk_jobs": COUNT_BUCKETS,
-    "schedule_events": WIDE_COUNT_BUCKETS,
-}
-
-
 class MetricsRegistry:
     """One namespace of counters, gauges, and histograms.
 
     The observability :class:`~repro.obs.record.Recorder` owns one
-    registry per engine; metrics created on demand get their bucket
-    edges from :data:`DEFAULT_BUCKETS`.
+    registry per engine; metrics are created on first use.
     """
 
     def __init__(self) -> None:
@@ -369,11 +301,11 @@ class MetricsRegistry:
         self.histograms: dict[str, Histogram] = {}
 
     # -- creation-on-demand ------------------------------------------- #
-    def histogram(self, name: str, edges: tuple[float, ...] | None = None) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The histogram called ``name``, created on first use."""
         h = self.histograms.get(name)
         if h is None:
-            h = Histogram(name, edges or DEFAULT_BUCKETS.get(name, TIME_BUCKETS))
+            h = Histogram(name)
             self.histograms[name] = h
         return h
 
@@ -418,8 +350,9 @@ class MetricsRegistry:
 
         The fleet scheduler uses this to aggregate metric snapshots that
         ride back from worker processes on job results: counter values
-        add, histogram buckets add (edges must match), gauges fold
-        min/max/samples and adopt the incoming last-values.
+        add, histogram sketches merge exactly (their alphas must
+        match), gauges fold min/max/samples and adopt the incoming
+        last-values.
 
         Args:
             doc: A document produced by :meth:`to_dict` (possibly in
@@ -443,43 +376,56 @@ class MetricsRegistry:
                 gauge.max = max(gauge.max, g["max"])
                 gauge.samples += g["samples"]
         for name, h in doc.get("histograms", {}).items():
-            edges = tuple(float(e) for e in h.get("edges", ()))
-            hist = self.histogram(name, edges=edges)
-            if hist.edges != edges:
-                raise ValueError(
-                    f"histogram {name!r}: cannot merge mismatched edges "
-                    f"{edges!r} into {hist.edges!r}"
-                )
-            for i, c in enumerate(h.get("counts", ())):
-                hist.counts[i] += c
+            if "sketch" not in h:
+                raise ValueError(f"histogram {name!r}: no sketch to merge")
+            hist = self.histogram(name)
+            hist.sketch.merge_dict(h["sketch"])
             if h.get("count"):
                 hist.count += h["count"]
                 hist.sum += h["sum"]
                 hist.min = min(hist.min, h["min"])
                 hist.max = max(hist.max, h["max"])
-            sketch_doc = h.get("sketch")
-            if sketch_doc is not None:
-                hist.sketch.merge_dict(sketch_doc)
             for rank_str, rc in h.get("per_rank", {}).items():
                 rank = into_rank if into_rank is not None else int(rank_str)
                 hist._rank_count[rank] += rc["count"]
                 hist._rank_sum[rank] += rc["sum"]
 
 
-def _bucket_quantile(
-    edges: tuple[float, ...], counts: list[int], count: int, q: float,
-    overflow_value: float,
-) -> float:
-    """Quantile over one bucket-count vector (Histogram.quantile's rule)."""
-    if count == 0:
-        return 0.0
-    target = q * count
-    seen = 0
-    for i, c in enumerate(counts):
-        seen += c
-        if seen >= target and c:
-            return edges[i] if i < len(edges) else overflow_value
-    return overflow_value
+#: ``(sketch snapshot, count, sum)`` of a histogram with no observations.
+_EMPTY_SNAP: tuple[tuple[dict[int, int], int, int], int, float] = (({}, 0, 0), 0, 0.0)
+
+
+def histogram_deltas(
+    registry: MetricsRegistry,
+    snaps: dict[str, tuple[tuple[dict[int, int], int, int], int, float]],
+) -> dict[str, dict]:
+    """Each histogram's change since ``snaps``; advances ``snaps`` to now.
+
+    ``snaps`` maps a histogram name to its ``(sketch snapshot, count,
+    sum)`` at the previous boundary (a missing name means empty).  Every
+    histogram observed since then gets ``count``, ``sum``, ``mean`` and
+    the p50/p95/p99 of its sketch delta; unobserved ones are left out.
+    The one windowed-delta step behind :class:`RollingWindows` and the
+    live :class:`~repro.obs.live.TelemetryBus`.
+    """
+    out: dict[str, dict] = {}
+    for name in sorted(registry.histograms):
+        h = registry.histograms[name]
+        sketch_snap, count0, sum0 = snaps.get(name, _EMPTY_SNAP)
+        dcount = h.count - count0
+        if dcount:
+            dsum = h.sum - sum0
+            dsketch = h.sketch.delta(sketch_snap)
+            out[name] = {
+                "count": dcount,
+                "sum": dsum,
+                "mean": dsum / dcount,
+                "p50": dsketch.quantile(0.50),
+                "p95": dsketch.quantile(0.95),
+                "p99": dsketch.quantile(0.99),
+            }
+        snaps[name] = (h.sketch.snapshot(), h.count, h.sum)
+    return out
 
 
 class RollingWindows:
@@ -487,18 +433,17 @@ class RollingWindows:
 
     The registry keeps *cumulative* distributions; this class snapshots
     them at a fixed virtual-time ``interval`` and emits the per-window
-    *delta* — count, sum, mean, and sketch-resolution p50/p95/p99 (see
-    :class:`QuantileSketch`; within relative error ``alpha`` rather than
-    3-buckets-per-decade edge resolution) — as a time series.  ``roll(now)`` must be called (by the recorder's metric
-    hooks) before each observation is recorded, so a window ``[t0, t1)``
-    holds exactly the observations whose virtual timestamps fall inside
-    it.  Windows with no observations are skipped; boundaries depend
-    only on virtual time, so the series is deterministic.
+    *delta* — count, sum, mean and p50/p95/p99 from
+    :func:`histogram_deltas` — as a time series.  ``roll(now)`` must be
+    called (by the recorder's metric hooks) before each observation is
+    recorded, so a window ``[t0, t1)`` holds exactly the observations
+    whose virtual timestamps fall inside it.  Windows with no
+    observations are skipped; boundaries depend only on virtual time,
+    so the series is deterministic.
 
-    The per-window p99 of, say, ``steal_latency`` is the SLO substrate
-    the open-loop serving scenario needs (ROADMAP item 3): a tail
-    spike is visible in its window rather than diluted into the
-    whole-run distribution.
+    The per-window p99 of, say, ``steal_latency`` shows a tail spike in
+    its own window rather than diluted into the whole-run distribution.
+    A window covering the whole run reports the whole-run percentiles.
     """
 
     def __init__(self, registry: MetricsRegistry, interval: float) -> None:
@@ -509,10 +454,8 @@ class RollingWindows:
         self.windows: list[dict] = []
         self._t0 = 0.0
         self._last = 0.0
-        # name -> (counts copy, count, sum) at the last window boundary
-        self._snap: dict[str, tuple[list[int], int, float]] = {}
-        # name -> sketch snapshot at the last window boundary
-        self._sketch_snap: dict[str, tuple[dict[int, int], int, int]] = {}
+        # name -> (sketch snapshot, count, sum) at the last window boundary
+        self._snap: dict[str, tuple[tuple[dict[int, int], int, int], int, float]] = {}
         self._finalized = False
 
     def roll(self, now: float) -> None:
@@ -523,38 +466,7 @@ class RollingWindows:
             self._close_window(self._t0 + self.interval)
 
     def _close_window(self, t1: float) -> None:
-        histograms: dict[str, dict] = {}
-        for name in sorted(self.registry.histograms):
-            h = self.registry.histograms[name]
-            prev = self._snap.get(name)
-            prev_counts, prev_count, prev_sum = (
-                prev if prev is not None else ([0] * len(h.counts), 0, 0.0)
-            )
-            dcount = h.count - prev_count
-            if dcount:
-                dsum = h.sum - prev_sum
-                dsketch = h.sketch.delta(self._sketch_snap.get(name, ({}, 0, 0)))
-                if dsketch.count == dcount:
-                    p50, p95, p99 = (dsketch.quantile(q) for q in (0.50, 0.95, 0.99))
-                else:
-                    # Registries merged from pre-sketch documents can have
-                    # sketch counts lagging bucket counts; fall back to
-                    # bucket-edge resolution rather than report a quantile
-                    # over a partial sketch.
-                    dcounts = [c - p for c, p in zip(h.counts, prev_counts)]
-                    p50 = _bucket_quantile(h.edges, dcounts, dcount, 0.50, h.max)
-                    p95 = _bucket_quantile(h.edges, dcounts, dcount, 0.95, h.max)
-                    p99 = _bucket_quantile(h.edges, dcounts, dcount, 0.99, h.max)
-                histograms[name] = {
-                    "count": dcount,
-                    "sum": dsum,
-                    "mean": dsum / dcount,
-                    "p50": p50,
-                    "p95": p95,
-                    "p99": p99,
-                }
-            self._snap[name] = (list(h.counts), h.count, h.sum)
-            self._sketch_snap[name] = h.sketch.snapshot()
+        histograms = histogram_deltas(self.registry, self._snap)
         if histograms:
             self.windows.append({"t0": self._t0, "t1": t1, "histograms": histograms})
         self._t0 = t1

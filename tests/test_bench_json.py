@@ -43,6 +43,14 @@ def test_write_then_validate_roundtrip(tmp_path):
     assert exp["notes"] == ["synthetic"]
 
 
+def test_wall_write_refuses_to_overwrite_an_unreadable_record(tmp_path):
+    path = tmp_path / "BENCH_wall.json"
+    path.write_text('{"schema": "repro-bench-wall/1", "baselines": [')
+    with pytest.raises(ValueError, match="BENCH_wall.json: existing record is unreadable"):
+        write_wall_json([_wall_entry()], path)
+    assert path.read_text().endswith("[")  # left as it was
+
+
 @pytest.mark.parametrize(
     "mutation, fragment",
     [
@@ -112,6 +120,14 @@ def test_wall_write_preserves_committed_baselines(tmp_path):
     assert doc["entries"][0]["events_per_sec"] == 90_000.0
 
 
+def test_wall_write_refuses_to_overwrite_an_unreadable_record(tmp_path):
+    path = tmp_path / "BENCH_wall.json"
+    path.write_text('{"schema": "repro-bench-wall/1", "baselines": [')
+    with pytest.raises(ValueError, match="BENCH_wall.json: existing record is unreadable"):
+        write_wall_json([_wall_entry()], path)
+    assert path.read_text().endswith("[")  # left as it was
+
+
 @pytest.mark.parametrize(
     "mutation, fragment",
     [
@@ -121,6 +137,8 @@ def test_wall_write_preserves_committed_baselines(tmp_path):
         (lambda d: d["entries"][0].update(events=0), "events"),
         (lambda d: d["entries"][0].update(events_per_sec=0.0), "events_per_sec"),
         (lambda d: d["entries"][0].update(best_wall_s=-1.0), "best_wall_s"),
+        (lambda d: d.update(notes={"profile": {"uts-small": {"samples": 99}}}),
+         "99 samples, below the floor of 100"),
     ],
 )
 def test_wall_validate_rejects_malformed_documents(tmp_path, mutation, fragment):

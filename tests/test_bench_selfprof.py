@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.perf import write_wall_json
+from repro.bench.perf import PROFILE_MIN_SAMPLES, write_wall_json
 from repro.bench.selfprof import (
     SUBSYSTEMS,
     SubsystemProfiler,
@@ -122,7 +122,8 @@ class TestWallJsonNotes:
         entries = [{
             "scenario": "uts-small", "events": 1,
             "best_wall_s": 0.1, "events_per_sec": 10.0,
-            "profile": {"samples": 4, "fractions": {"engine": 1.0}, "named": 1.0},
+            "profile": {"samples": PROFILE_MIN_SAMPLES,
+                        "fractions": {"engine": 1.0}, "named": 1.0},
         }]
         write_wall_json(entries, path)
         doc = json.loads(path.read_text())
@@ -136,7 +137,8 @@ class TestWallJsonNotes:
         baseline = {**entry, "backend": "reference"}
         write_wall_json([entry], path,
                         baselines=[baseline],
-                        notes={"profile": {"queue": {"named": 1.0}}})
+                        notes={"profile": {"queue": {
+                            "samples": PROFILE_MIN_SAMPLES, "named": 1.0}}})
         write_wall_json([entry], path)  # regeneration without either
         doc = json.loads(path.read_text())
         assert doc["baselines"] == [baseline]

@@ -122,15 +122,15 @@ class TestMetricsDiff:
         assert report.ok  # counters are direction-neutral
         assert any(e.status == "changed" for e in report.changes)
 
-    def test_v1_document_diffs_against_v2(self):
+    def test_v1_and_v2_documents_are_rejected(self):
         doc = metrics_dict(run_target("steals").recorder)
-        old = copy.deepcopy(doc)
-        old["schema"] = "repro-obs-metrics/1"
-        for h in old["histograms"].values():  # /1 had no stored percentiles
-            for k in ("p50", "p95", "p99"):
-                h.pop(k, None)
-        report = diff_documents(old, doc)
-        assert report.ok
+        for schema in ("repro-obs-metrics/1", "repro-obs-metrics/2"):
+            old = copy.deepcopy(doc)
+            old["schema"] = schema
+            with pytest.raises(ValueError, match=f"unsupported schema '{schema}'"):
+                diff_documents(old, doc)
+            with pytest.raises(ValueError, match=f"unsupported schema '{schema}'"):
+                diff_documents(doc, old)
 
 
 class TestWindowsDiff:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 
+import pytest
+
 from repro.obs import (
     METRICS_SCHEMA,
     Recorder,
@@ -12,6 +14,7 @@ from repro.obs import (
     chrome_trace,
     critical_idle,
     load_chrome_trace,
+    load_metrics_json,
     metrics_dict,
     self_times,
     summarize,
@@ -83,8 +86,40 @@ class TestMetricsJson:
         hs = doc["histograms"]
         assert hs["steal_latency"]["count"] > 0
         assert hs["wave_rtt"]["count"] > 0
-        assert len(hs["steal_latency"]["counts"]) == len(hs["steal_latency"]["edges"]) + 1
+        assert "edges" not in hs["steal_latency"] and "counts" not in hs["steal_latency"]
+        assert hs["steal_latency"]["sketch"]["count"] == hs["steal_latency"]["count"]
         assert doc["spans"]["recorded"] == len(run.recorder.spans)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d.update(schema="repro-obs-metrics/1"),
+             "'repro-obs-metrics/1'; only 'repro-obs-metrics/3'"),
+            (lambda d: d.update(schema="repro-obs-metrics/2"),
+             "'repro-obs-metrics/2'; only 'repro-obs-metrics/3'"),
+            (lambda d: d["histograms"]["steal_latency"].pop("sketch"),
+             "histogram 'steal_latency' has no sketch"),
+            (lambda d: d["histograms"]["wave_rtt"]["sketch"].update(count=0),
+             "histogram 'wave_rtt': sketch holds 0 observations"),
+        ],
+        ids=["schema/1", "schema/2", "no sketch", "sketch count"],
+    )
+    def test_load_rejects_invalid_documents(self, tmp_path, corrupt, message):
+        path = write_metrics_json(_recorded_run().recorder, tmp_path / "m.json")
+        assert load_metrics_json(path)["schema"] == METRICS_SCHEMA
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_metrics_json(path)
+
+    def test_write_validates_before_writing(self, tmp_path):
+        recorder = _recorded_run().recorder
+        recorder.metrics.histogram("steal_latency").count += 1
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="histogram 'steal_latency'"):
+            write_metrics_json(recorder, path)
+        assert not path.exists()
 
     def test_process_stats_embedded_when_given(self):
         run = run_target("uts-tiny")

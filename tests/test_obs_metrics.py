@@ -1,55 +1,38 @@
-"""Metrics primitives: histogram bucket edges, gauges, counter facade."""
+"""Metrics primitives: sketch-backed histograms, gauges, counter facade."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    DEFAULT_BUCKETS,
-    TIME_BUCKETS,
     CounterFamily,
     Gauge,
     Histogram,
     MetricsRegistry,
+    QuantileSketch,
 )
+from repro.obs.scenarios import run_target
 from repro.sim.counters import Counters
 
 
 class TestHistogram:
-    def test_value_on_edge_lands_in_that_bucket(self):
-        h = Histogram("h", edges=(1.0, 2.0, 4.0))
-        h.observe(1.0)  # == edges[0]
-        h.observe(2.0)  # == edges[1]
-        h.observe(4.0)  # == edges[2]
-        assert h.counts == [1, 1, 1, 0]
-
-    def test_value_just_above_edge_lands_in_next_bucket(self):
-        h = Histogram("h", edges=(1.0, 2.0, 4.0))
-        h.observe(1.0000001)
-        h.observe(2.5)
-        assert h.counts == [0, 1, 1, 0]
-
-    def test_overflow_bucket(self):
-        h = Histogram("h", edges=(1.0, 2.0))
+    def test_large_values_have_no_overflow_cap(self):
+        h = Histogram("h")
         h.observe(100.0)
-        assert h.counts == [0, 0, 1]
-        assert h.max == 100.0
+        h.observe(1e9)
+        assert h.max == 1e9
+        assert h.quantile(1.0) == pytest.approx(1e9, rel=h.sketch.alpha)
 
-    def test_below_first_edge_lands_in_first_bucket(self):
-        h = Histogram("h", edges=(1.0, 2.0))
+    def test_zero_and_negative_values_land_in_the_zero_bucket(self):
+        h = Histogram("h")
         h.observe(0.0)
         h.observe(-5.0)
-        assert h.counts == [2, 0, 0]
-
-    def test_edges_must_strictly_increase(self):
-        with pytest.raises(ValueError):
-            Histogram("h", edges=(1.0, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            Histogram("h", edges=())
+        assert h.sketch.zero == 2
+        assert h.quantile(1.0) == 0.0
+        assert h.min == -5.0
 
     def test_stats_and_per_rank_attribution(self):
-        h = Histogram("h", edges=(1.0, 10.0))
+        h = Histogram("h")
         h.observe(0.5, rank=0)
         h.observe(5.0, rank=1)
         h.observe(5.0, rank=1)
@@ -60,17 +43,24 @@ class TestHistogram:
         assert d["per_rank"]["1"] == {"count": 2, "sum": 10.0}
         assert d["min"] == 0.5 and d["max"] == 5.0
 
-    def test_quantile_reports_bucket_upper_edge(self):
-        h = Histogram("h", edges=(1.0, 2.0, 4.0))
-        for v in (0.5, 0.6, 1.5, 3.0):
+    def test_to_dict_percentiles_are_the_sketch_quantiles(self):
+        h = Histogram("h")
+        for v in (0.5, 2.0, 1.5, 3.0, 2.0, 2.0, 7e-6):
             h.observe(v)
-        assert h.quantile(0.5) == 1.0  # two of four in the first bucket
-        assert h.quantile(1.0) == 4.0
+        d = h.to_dict()
+        assert "edges" not in d and "counts" not in d
+        for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+            assert d[key] == h.sketch.quantile(q)
+            assert d[key] == QuantileSketch.from_dict(d["sketch"]).quantile(q)
+        # Integer samples report a bucket midpoint within alpha: 2 -> ~1.99.
+        assert d["p50"] != 2.0 and d["p50"] == pytest.approx(2.0, rel=0.01)
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
     def test_empty_quantile_is_zero(self):
-        assert Histogram("h", edges=(1.0,)).quantile(0.9) == 0.0
+        h = Histogram("h")
+        assert h.quantile(0.9) == 0.0
+        assert h.to_dict()["p95"] is None
 
 
 class TestGauge:
@@ -101,12 +91,17 @@ class TestCounters:
 
 
 class TestRegistry:
-    def test_named_metrics_get_their_default_buckets(self):
-        reg = MetricsRegistry()
-        assert reg.histogram("steal_chunk").edges == tuple(float(e) for e in COUNT_BUCKETS)
-        assert reg.histogram("steal_latency").edges == TIME_BUCKETS
-        assert reg.histogram("unheard_of").edges == TIME_BUCKETS
-        assert set(DEFAULT_BUCKETS) >= {"steal_latency", "wave_rtt", "lock_wait"}
+    def test_whole_run_p95_equals_one_window_covering_the_run(self):
+        # One rolling window longer than the run holds every observation,
+        # so its percentiles are the whole-run ones: one mechanism.
+        recorder = run_target("steals", window=1.0).recorder
+        (window,) = recorder.windows.windows
+        whole = recorder.metrics.to_dict()["histograms"]
+        assert set(window["histograms"]) == set(whole)
+        for name, h in window["histograms"].items():
+            assert h["count"] == whole[name]["count"]
+            for key in ("p50", "p95", "p99"):
+                assert h[key] == whole[name][key], (name, key)
 
     def test_observe_sample_add_roundtrip_through_to_dict(self):
         reg = MetricsRegistry()
@@ -162,14 +157,14 @@ class TestMergeDict:
         assert g.samples == 2
         assert g.min == g.max == 5.0
 
-    def test_mismatched_histogram_edges_rejected(self):
+    def test_mismatched_sketch_rejected(self):
         fleet = MetricsRegistry()
-        # Materialize the histogram with its default bucket edges first;
-        # the incoming snapshot then disagrees and must be refused.
         fleet.observe("schedule_events", 10.0, rank=0)
-        doc = {"histograms": {"schedule_events": {
-            "edges": [1.0, 2.0], "counts": [1, 0, 0],
-            "count": 1, "sum": 1.0, "min": 1.0, "max": 1.0, "per_rank": {},
-        }}}
-        with pytest.raises(ValueError, match="mismatched edges"):
+        doc = self._worker_doc()
+        hist = doc["histograms"]["schedule_events"]
+        hist["sketch"]["alpha"] = 0.05
+        with pytest.raises(ValueError, match="alpha"):
+            fleet.merge_dict(doc)
+        del hist["sketch"]
+        with pytest.raises(ValueError, match="'schedule_events': no sketch"):
             fleet.merge_dict(doc)
